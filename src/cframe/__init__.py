@@ -12,9 +12,9 @@ from .cli import (SystemDescription, description_from_dict, parse_system,
                   run, serialize_system)
 from .frames import (STATUS_BESSEL, STATUS_FRAME, STATUS_NOT_FRAME,
                      CheckReport, CommutationFlags, ControlledFrameSystem,
-                     FrameCertificate, LowerBoundResult, ReconstructionResult,
-                     VerifyResult, analysis, certify, check_at,
-                     commutation_residual, comparison_form_matrix,
+                     FiberForms, FrameCertificate, LowerBoundResult,
+                     ReconstructionResult, VerifyResult, analysis, certify,
+                     check_at, commutation_residual, comparison_form_matrix,
                      family_gram_matrix, frame_form_matrix, frame_operator,
                      frame_system, gram_matrix, optimal_lower_bound,
                      optimal_upper_bound, reconstruct, synthesis,

@@ -56,17 +56,55 @@ def _matrix_json(m: np.ndarray) -> list:
 
 
 def _parse_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
-        return complex(v[0], v[1])
+    try:
+        if isinstance(v, (int, float)):
+            return complex(v)
+        if (isinstance(v, list) and len(v) == 2
+                and all(isinstance(t, (int, float)) for t in v)):
+            return complex(v[0], v[1])
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValidationError(f"{where}: entry is not finite") from exc
     raise ValidationError(f"{where}: expected a number or [re, im] pair")
+
+
+def _homogeneous_matrix(rows: list) -> np.ndarray | None:
+    """One np.array call for a matrix of all numbers or all [re, im] pairs.
+
+    None for anything else (ragged, mixed, or non-numeric entries), which
+    the per-entry walk then accepts or rejects with a message naming the
+    entry.  Bools and ints convert exactly as complex() converts them.
+    """
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows or entries
+        return None
+    if arr.dtype.kind not in "biuf" or arr.size == 0:
+        return None
+    if arr.ndim == 2:
+        return arr.astype(np.complex128)
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        return None
+    # Assign the parts: re + 1j * im would flip a -0.0 real part.
+    out = np.empty(arr.shape[:2], dtype=np.complex128)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{where}: expected a nonempty matrix")
+    out = _homogeneous_matrix(rows)
+    if out is None:
+        out = _walk_matrix(rows, where)
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, jj = bad[0]
+        raise ValidationError(f"{where}[{i}][{jj}]: entry is not finite")
+    return out
+
+
+def _walk_matrix(rows: list, where: str) -> np.ndarray:
     out = []
     width = None
     for i, row in enumerate(rows):
@@ -135,6 +173,17 @@ def _default_eps_pos() -> float:
     return val
 
 
+def _tolerance(alg_doc: dict, key: str, default: float) -> float:
+    if key not in alg_doc:
+        return default
+    val = alg_doc[key]
+    # abs(val) <= max fails for NaN and for ints too large for a float.
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max):
+        raise ValidationError(f"algebra.{key}: must be a finite number")
+    return float(val)
+
+
 def description_from_dict(doc: dict) -> SystemDescription:
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected an object")
@@ -144,11 +193,12 @@ def description_from_dict(doc: dict) -> SystemDescription:
     d = alg_doc["d"]
     if not isinstance(d, int) or d < 1:
         raise ValidationError("algebra.d: must be a positive integer")
-    algebra = Algebra(
-        d,
-        eps_pos=float(alg_doc.get("eps_pos", _default_eps_pos())),
-        eps_nz=float(alg_doc.get("eps_nz", 1e-8)),
-    )
+    eps_pos = _tolerance(alg_doc, "eps_pos", _default_eps_pos())
+    eps_nz = _tolerance(alg_doc, "eps_nz", 1e-8)
+    try:
+        algebra = Algebra(d, eps_pos=eps_pos, eps_nz=eps_nz)
+    except ValueError as exc:
+        raise ValidationError(f"algebra: {exc}") from exc
 
     sp_doc = doc.get("space")
     if not isinstance(sp_doc, dict) or "fibers" not in sp_doc:

@@ -13,11 +13,17 @@ eigenvalues of matrix pencils: the upper bound against the weight, the
 lower bound against the comparison form with its kernel excluded.
 Certificates are recomputed quantities, never trusted inputs; check_at
 re-evaluates the inequality at any vector.
+
+The per-fiber forms (the weight W_j, the frame form Phi_j raw and
+Hermitian, the comparison form Gamma_j) are built once per system, on
+first use, as read-only arrays in `ControlledFrameSystem.forms`; the
+bounds, the certificate checks and the pointwise checks all read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .algebra import (AlgebraElement, alg_is_positive,
                       alg_is_strictly_nonzero)
 from .errors import (LengthMismatch, NotCommuting, NotGLPlus,
                      SingularFrameOperator, SpaceMismatch)
-from .module_space import ModuleSpace, ModuleVector, module_norm
+from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
                         op_adjoint, op_classify, op_compose, op_norm, op_sqrt)
 from .spectral import hermitian_part, pencil_extremes, restricted_pencil_min
@@ -39,11 +45,15 @@ _TIGHT_RTOL = 1e-8
 _SKEW_RTOL = 1e-8
 
 
-def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
-    """Relative size of the commutator x y - y x."""
+def commutation_residual(x: ModuleOperator, y: ModuleOperator, *,
+                         norms: tuple[float, float] | None = None) -> float:
+    """Relative size of the commutator x y - y x.
+
+    norms, when given, are op_norm(x) and op_norm(y) already taken.
+    """
+    nx, ny = (op_norm(x), op_norm(y)) if norms is None else norms
     num = op_norm(op_compose(x, y) - op_compose(y, x))
-    den = max(op_norm(x) * op_norm(y), 1e-300)
-    return num / den
+    return num / max(nx * ny, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -80,21 +90,30 @@ class ControlledFrameSystem:
         object.__setattr__(self, "flags", self._compute_flags())
 
     def _compute_flags(self) -> CommutationFlags:
-        worst = commutation_residual(self.control, self.control_prime)
+        # Each operand's norm is taken once and shared by its residuals.
+        c, cp, k = self.control, self.control_prime, self.comparison
+        nc, ncp, nk = op_norm(c), op_norm(cp), op_norm(k)
+        worst = commutation_residual(c, cp, norms=(nc, ncp))
         cc = worst <= _COMMUTE_RTOL
         fam = 0.0
         for t in self.family:
             tt = op_compose(op_adjoint(t), t)
-            fam = max(fam, commutation_residual(self.control, tt))
-            fam = max(fam, commutation_residual(self.control_prime, tt))
-        kk = max(commutation_residual(self.control, self.comparison),
-                 commutation_residual(self.control_prime, self.comparison))
+            ntt = op_norm(tt)
+            fam = max(fam, commutation_residual(c, tt, norms=(nc, ntt)))
+            fam = max(fam, commutation_residual(cp, tt, norms=(ncp, ntt)))
+        kk = max(commutation_residual(c, k, norms=(nc, nk)),
+                 commutation_residual(cp, k, norms=(ncp, nk)))
         return CommutationFlags(
             controls_commute=cc,
             controls_with_family=fam <= _COMMUTE_RTOL,
             controls_with_k=kk <= _COMMUTE_RTOL,
             worst_residual=max(worst, fam, kk),
         )
+
+    @cached_property
+    def forms(self) -> FiberForms:
+        """The per-fiber forms, built on first use; see FiberForms."""
+        return _build_forms(self)
 
 
 def frame_system(space: ModuleSpace, family, control=None, control_prime=None,
@@ -112,6 +131,22 @@ def frame_system(space: ModuleSpace, family, control=None, control_prime=None,
 
 # -- Hermitian forms per fiber ------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class FiberForms:
+    """Form matrices of one system, one read-only array per fiber.
+
+    weight: W_j, the form of <x, x>.
+    phi_raw: C'^H (sum M^H W M) C, the form of sum_i <T_i C x, T_i C' x>.
+    phi: the Hermitian part of phi_raw.
+    gamma: the form of <K* x, K* x>.
+    """
+
+    weight: tuple[np.ndarray, ...]
+    phi_raw: tuple[np.ndarray, ...]
+    phi: tuple[np.ndarray, ...]
+    gamma: tuple[np.ndarray, ...]
+
+
 def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
     """Sum over the family of M^H W M at fiber j."""
     n = sys.space.dims[j]
@@ -123,6 +158,18 @@ def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
     return acc
 
 
+def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
+    phi_raw, phi, gamma = [], [], []
+    for j in range(len(sys.space.dims)):
+        raw = (sys.control_prime.blocks[j].conj().T
+               @ family_gram_matrix(sys, j) @ sys.control.blocks[j])
+        phi_raw.append(_frozen(raw))
+        phi.append(_frozen(hermitian_part(raw)))
+        gamma.append(_frozen(adjoint_gram_matrix(sys.comparison, j)))
+    return FiberForms(weight=sys.space.weights, phi_raw=tuple(phi_raw),
+                      phi=tuple(phi), gamma=tuple(gamma))
+
+
 def frame_form_matrix(sys: ControlledFrameSystem, j: int, *,
                       hermitian: bool = True) -> np.ndarray:
     """Form matrix of x -> sum_i <T_i C x, T_i C' x> at fiber j.
@@ -130,16 +177,15 @@ def frame_form_matrix(sys: ControlledFrameSystem, j: int, *,
     The exact matrix is C'^H (sum M^H W M) C; it is Hermitian whenever
     the controls commute with the family Gram blocks.  With hermitian
     set, the Hermitian part is returned, which is the form of the real
-    part of the sum.
+    part of the sum.  The array is the system's read-only copy.
     """
-    phi = (sys.control_prime.blocks[j].conj().T
-           @ family_gram_matrix(sys, j) @ sys.control.blocks[j])
-    return hermitian_part(phi) if hermitian else phi
+    forms = sys.forms
+    return forms.phi[j] if hermitian else forms.phi_raw[j]
 
 
 def comparison_form_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
-    """Form matrix of x -> <K* x, K* x> at fiber j."""
-    return adjoint_gram_matrix(sys.comparison, j)
+    """Form matrix of x -> <K* x, K* x> at fiber j (read-only)."""
+    return sys.forms.gamma[j]
 
 
 def gram_matrix(space: ModuleSpace, j: int) -> np.ndarray:
@@ -221,10 +267,10 @@ def optimal_upper_bound(sys: ControlledFrameSystem) -> AlgebraElement:
     Coordinate j is the square root of the largest eigenvalue of the
     pencil (frame form, weight) at fiber j, floored at zero.
     """
+    forms = sys.forms
     vals = []
-    for j in range(len(sys.space.dims)):
-        phi = frame_form_matrix(sys, j)
-        ext = pencil_extremes(phi, sys.space.weights[j])
+    for phi, w in zip(forms.phi, forms.weight):
+        ext = pencil_extremes(phi, w)
         vals.append(np.sqrt(max(ext.lambda_max, 0.0)))
     return AlgebraElement(sys.space.algebra,
                           np.array(vals, dtype=np.complex128))
@@ -242,15 +288,15 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
     """
     d = len(sys.space.dims)
     eps = sys.space.algebra.eps_pos
-    gammas = [comparison_form_matrix(sys, j) for j in range(d)]
+    forms = sys.forms
+    gammas = forms.gamma
     gscale = max([1.0] + [float(np.linalg.norm(g)) for g in gammas])
     infima: list[float] = []
     vacuous: list[int] = []
     failed: list[int] = []
     for j in range(d):
-        phi = frame_form_matrix(sys, j)
-        w = sys.space.weights[j]
-        ext = pencil_extremes(phi, w)
+        phi = forms.phi[j]
+        ext = pencil_extremes(phi, forms.weight[j])
         if ext.lambda_min < -_SKEW_RTOL * max(1.0, abs(ext.lambda_max)):
             # Frame form dips negative: no positive element fits below it.
             infima.append(0.0)
@@ -306,7 +352,8 @@ def _sample_parts(space: ModuleSpace, count: int, rng) -> list[np.ndarray]:
 
 
 def _form_values(mat: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    return np.einsum("as,ab,bs->s", batch.conj(), mat, batch)
+    """x^H mat x for every column x of batch."""
+    return np.einsum("as,as->s", batch.conj(), mat @ batch)
 
 
 def _violations(sys: ControlledFrameSystem, low_sq: np.ndarray,
@@ -317,19 +364,15 @@ def _violations(sys: ControlledFrameSystem, low_sq: np.ndarray,
     is used to pick a witness.  Imaginary mass in the family form counts
     against both sides, since positivity of the slack fails with it.
     """
-    d = len(sys.space.dims)
-    count = batches[0].shape[1] if d else 0
+    forms = sys.forms
+    count = batches[0].shape[1] if batches else 0
     per_sample = np.zeros(count)
     worst_lower = -np.inf
     worst_upper = -np.inf
-    for j in range(d):
-        phi = frame_form_matrix(sys, j, hermitian=False)
-        gamma = comparison_form_matrix(sys, j)
-        w = sys.space.weights[j]
-        x = batches[j]
-        mid = _form_values(phi, x)
-        low = low_sq[j] * _form_values(gamma, x).real
-        up = up_sq[j] * _form_values(w, x).real
+    for j, x in enumerate(batches):
+        mid = _form_values(forms.phi_raw[j], x)
+        low = low_sq[j] * _form_values(forms.gamma[j], x).real
+        up = up_sq[j] * _form_values(forms.weight[j], x).real
         ref = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(up)))
         imag = np.abs(mid.imag) / ref
         lv = np.maximum((low - mid.real) / ref, imag)
@@ -350,14 +393,14 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
     the worst sampled violations of the two inequalities at the
     returned bounds, floored at zero.
     """
-    d = len(sys.space.dims)
+    forms = sys.forms
     upper = optimal_upper_bound(sys)
     low = optimal_lower_bound(sys)
 
+    raw_norms = [float(np.linalg.norm(phi)) for phi in forms.phi_raw]
     skew = 0.0
-    for j in range(d):
-        phi = frame_form_matrix(sys, j, hermitian=False)
-        scale = max(1.0, float(np.linalg.norm(phi)))
+    for phi, norm in zip(forms.phi_raw, raw_norms):
+        scale = max(1.0, norm)
         skew = max(skew, float(np.linalg.norm(phi - phi.conj().T)) / scale)
 
     upper_nz = alg_is_strictly_nonzero(upper)
@@ -373,15 +416,9 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
 
     tight = False
     if status == STATUS_FRAME:
-        scale = max(
-            [1.0]
-            + [float(np.linalg.norm(frame_form_matrix(sys, j, hermitian=False)))
-               for j in range(d)]
-        )
+        scale = max([1.0] + raw_norms)
         worst = 0.0
-        for j in range(d):
-            phi = frame_form_matrix(sys, j, hermitian=False)
-            gamma = comparison_form_matrix(sys, j)
+        for j, (phi, gamma) in enumerate(zip(forms.phi_raw, forms.gamma)):
             a2 = float(np.abs(low.element.values[j]) ** 2)
             worst = max(worst, float(np.linalg.norm(a2 * gamma - phi)))
         tight = worst <= _TIGHT_RTOL * scale
@@ -425,17 +462,14 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     """
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
-    d = len(sys.space.dims)
-    mid = np.zeros(d, dtype=np.complex128)
-    low = np.zeros(d, dtype=np.complex128)
-    up = np.zeros(d, dtype=np.complex128)
-    for j in range(d):
-        col = x.parts[j].reshape(-1, 1)
-        mid[j] = _form_values(frame_form_matrix(sys, j, hermitian=False), col)[0]
-        low[j] = (np.abs(cert.lower.values[j]) ** 2
-                  * _form_values(comparison_form_matrix(sys, j), col)[0].real)
-        up[j] = (np.abs(cert.upper.values[j]) ** 2
-                 * _form_values(sys.space.weights[j], col)[0].real)
+    forms = sys.forms
+
+    def values(mats) -> np.ndarray:
+        return np.array([np.vdot(p, m @ p) for p, m in zip(x.parts, mats)])
+
+    mid = values(forms.phi_raw)
+    low = np.abs(cert.lower.values) ** 2 * values(forms.gamma).real
+    up = np.abs(cert.upper.values) ** 2 * values(forms.weight).real
     alg = sys.space.algebra
     slack_lower = AlgebraElement(alg, mid - low)
     slack_upper = AlgebraElement(alg, up - mid)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+import cframe
 from cframe import (FrameCertificate, ModuleOperator, ModuleVector,
                     STATUS_FRAME, adjoint_gram_matrix, adjoint_lower_bound,
                     build_example, certify, check_at, comparison_form_matrix,
@@ -345,8 +346,13 @@ def test_criterion_10_lemma_suite():
 
 
 def run_cli(argv):
+    # The child imports the same cframe as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(cframe.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "cframe.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 

@@ -1,10 +1,14 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cframe import description_from_dict, parse_system, run, serialize_system
+from cframe.cli import _parse_matrix
 from cframe.errors import ParseError, ValidationError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
@@ -77,6 +81,102 @@ def test_validation_names_the_field(mutate, field):
     mutate(doc)
     with pytest.raises(ValidationError, match=field):
         description_from_dict(doc)
+
+
+# -- matrix entries ------------------------------------------------------
+
+# Entry values as JSON can carry them: ints of any size, bools, floats
+# including -0.0.
+REALS = st.one_of(st.integers(-2**70, 2**70), st.booleans(), st.just(-0.0),
+                  st.floats(allow_nan=False, allow_infinity=False))
+PAIRS = st.lists(REALS, min_size=2, max_size=2)
+
+
+@st.composite
+def matrix_rows(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    style = draw(st.sampled_from(["plain", "pairs", "mixed rows"]))
+    rows = []
+    for _ in range(n):
+        row_style = (draw(st.sampled_from(["plain", "pairs"]))
+                     if style == "mixed rows" else style)
+        entry = REALS if row_style == "plain" else PAIRS
+        rows.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    return rows
+
+
+def per_entry_matrix(rows):
+    return np.array([[complex(*v) if isinstance(v, list) else complex(v)
+                      for v in row] for row in rows], dtype=np.complex128)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_rows())
+def test_parse_matrix_matches_per_entry_complex(rows):
+    got = _parse_matrix(rows, "m")
+    want = per_entry_matrix(rows)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)),
+                              np.signbit(getattr(want, part)))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 2.0], [3.0]], "m: ragged rows"),
+    ([[1.0], []], "m: row 1 is not a nonempty list"),
+    ([[]], "m: row 0 is not a nonempty list"),
+    ([[1.0, "x"]], "m[0][1]: expected a number or [re, im] pair"),
+    ([[[1.0, 2.0, 3.0]]], "m[0][0]: expected a number or [re, im] pair"),
+    ([[[1.0, 0.0]], [[2.0, 0.0, 1.0]]],
+     "m[1][0]: expected a number or [re, im] pair"),
+    ([1.0, 2.0], "m: row 0 is not a nonempty list"),
+    ([], "m: expected a nonempty matrix"),
+])
+def test_parse_matrix_rejects_with_entry_message(rows, message):
+    with pytest.raises(ValidationError) as exc:
+        _parse_matrix(rows, "m")
+    assert str(exc.value) == message
+
+
+def test_parse_matrix_accepts_mixed_entries():
+    got = _parse_matrix([[1, [2.0, -1.0]], [[0.0, 3.0], True]], "m")
+    np.testing.assert_array_equal(got, [[1, 2 - 1j], [3j, 1]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 10 ** 400])
+@pytest.mark.parametrize("place, field", [
+    (lambda d, v: d["space"]["fibers"][0]["weight"][1].__setitem__(0, v),
+     r"space\.fibers\[0\]\.weight\[1\]\[0\]"),
+    (lambda d, v: d["operators"]["I"][0][0].__setitem__(1, [0.0, v]),
+     r"operators\.I\[0\]\[0\]\[1\]"),
+    (lambda d, v: d["operators"]["T"][0][1].__setitem__(0, [v, 0.0]),
+     r"operators\.T\[0\]\[1\]\[0\]"),
+])
+def test_non_finite_entry_is_a_json_error(tmp_path, capsys, bad, place,
+                                          field):
+    doc = weighted_doc()
+    place(doc, bad)
+    path = write_doc(tmp_path, doc)
+    code, out = run_json(capsys, ["certify", path])
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+    assert re.match(field + ": entry is not finite", out["error"]["message"])
+
+
+@pytest.mark.parametrize("key", ["eps_pos", "eps_nz"])
+@pytest.mark.parametrize("value", [-1, 0.0, "abc", True, float("nan"),
+                                   10 ** 400])
+def test_bad_tolerance_is_a_json_error(tmp_path, capsys, key, value):
+    doc = weighted_doc()
+    doc["algebra"][key] = value
+    path = write_doc(tmp_path, doc)
+    code, out = run_json(capsys, ["certify", path])
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+    assert "algebra" in out["error"]["message"]
 
 
 # -- subcommand behavior -------------------------------------------------

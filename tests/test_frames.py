@@ -3,12 +3,14 @@ import pytest
 
 from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     STATUS_FRAME, STATUS_NOT_FRAME, analysis, certify,
-                    check_at, comparison_form_matrix, family_gram_matrix,
-                    frame_form_matrix, frame_operator, frame_system,
-                    identity, inner_product, make_space, module_norm,
-                    op_compose, op_norm, optimal_lower_bound,
-                    optimal_upper_bound, reconstruct, scalar_operator,
-                    synthesis, verify_bounds, with_comparison, zero_operator)
+                    check_at, commutation_residual, comparison_form_matrix,
+                    family_gram_matrix, frame_form_matrix, frame_operator,
+                    frame_system, identity, inner_product, make_space,
+                    module_norm, op_adjoint, op_compose, op_norm,
+                    optimal_lower_bound, optimal_upper_bound, reconstruct,
+                    scalar_operator, synthesis, verify_bounds,
+                    with_comparison, with_controls, with_family,
+                    zero_operator)
 from cframe.errors import (NotCommuting, NotGLPlus, SingularFrameOperator,
                            SpaceMismatch)
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
@@ -519,3 +521,51 @@ def test_with_comparison_swaps_operator():
     swapped = with_comparison(sysr, k2)
     assert swapped.comparison is k2
     assert swapped.family == sysr.family
+
+
+def test_flags_match_residuals_taken_one_by_one():
+    rng = np.random.default_rng(25)
+    space = make_space(Algebra(2), [3, 2])
+    c = diagonal_glplus(rng, space)
+    cp = ModuleOperator(space, space, tuple(random_hpd(rng, n)
+                                            for n in space.dims))
+    k = random_operator(rng, space)
+    fam = [random_operator(rng, space) for _ in range(3)]
+    sysr = frame_system(space, fam, control=c, control_prime=cp,
+                        comparison=k)
+    grams = [op_compose(op_adjoint(t), t) for t in fam]
+    want = [commutation_residual(c, cp)]
+    want += [commutation_residual(x, g) for g in grams for x in (c, cp)]
+    want += [commutation_residual(c, k), commutation_residual(cp, k)]
+    assert sysr.flags.worst_residual == max(want)
+
+
+# -- the per-system form bundle --------------------------------------------
+
+def test_form_bundle_is_read_only():
+    rng = np.random.default_rng(26)
+    sysr = random_system(rng, d=2, dims=[2, 3], ops=2)
+    forms = sysr.forms
+    assert frame_form_matrix(sysr, 1) is forms.phi[1]
+    assert frame_form_matrix(sysr, 1, hermitian=False) is forms.phi_raw[1]
+    assert comparison_form_matrix(sysr, 1) is forms.gamma[1]
+    for mats in (forms.weight, forms.phi_raw, forms.phi, forms.gamma):
+        for m in mats:
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+
+def test_derived_systems_build_their_own_forms():
+    space = make_space(Algebra(2), [2, 3])
+    base = frame_system(space, [identity(space)])
+    parent_forms = base.forms
+    doubled = with_family(base, [identity(space), identity(space)])
+    scaled = with_controls(base, scalar_operator(space, 2.0),
+                           scalar_operator(space, 3.0))
+    for derived, factor in ((doubled, 2.0), (scaled, 6.0)):
+        assert derived.forms is not parent_forms
+        for j, n in enumerate(space.dims):
+            np.testing.assert_allclose(frame_form_matrix(derived, j),
+                                       factor * np.eye(n))
+    for j, n in enumerate(space.dims):
+        np.testing.assert_array_equal(frame_form_matrix(base, j), np.eye(n))
