@@ -3,9 +3,9 @@
 from .algebra import (Algebra, AlgebraElement, alg_abs, alg_is_positive,
                       alg_is_strictly_nonzero, alg_norm, alg_sqrt)
 from .errors import (BadParameters, CFrameError, IntertwiningViolated,
-                     LengthMismatch, NotCommuting, NotDefinite, NotGLPlus,
-                     NotHermitian, NotIncluded, NotInvertible, NotPSD,
-                     NotPositive, NotSurjective, ParseError,
+                     LengthMismatch, NotCommuting, NotDefinite, NotFinite,
+                     NotGLPlus, NotHermitian, NotIncluded, NotInvertible,
+                     NotPSD, NotPositive, NotSurjective, ParseError,
                      PreconditionUnverified, SingularFrameOperator,
                      SpaceMismatch, ValidationError, ZeroOperator)
 from .cli import (SystemDescription, description_from_dict, parse_system,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,14 +25,14 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement, alg_is_positive
 from .errors import (CFrameError, NotIncluded, ParseError, ValidationError)
-from .frames import (STATUS_FRAME, ControlledFrameSystem, certify,
-                     frame_operator, frame_system, reconstruct, verify_bounds)
+from .frames import (STATUS_FRAME, ControlledFrameSystem, _operator_spectrum,
+                     certify, frame_operator, frame_system, reconstruct,
+                     verify_bounds)
 from .module_space import ModuleSpace, make_space
 from .operators import (ModuleOperator, identity, op_classify, op_compose,
                         op_norm)
 from .sequence_example import (build_example, example_certificate,
                                example_sum_identity)
-from .spectral import pencil_extremes, hermitian_part
 from .testing import random_system, random_vector
 from .transforms import (HomomorphismSpec, compose_with_q, douglas_solve,
                          invertible_q_bounds, phi_element,
@@ -168,6 +169,8 @@ def _default_eps_pos() -> float:
         raise ValidationError(
             f"CFRAME_TOLERANCE: not a number: {env!r}"
         ) from exc
+    if not math.isfinite(val):
+        raise ValidationError("CFRAME_TOLERANCE: must be finite")
     if val <= 0:
         raise ValidationError("CFRAME_TOLERANCE: must be positive")
     return val
@@ -429,12 +432,7 @@ def _cmd_frame_operator(args) -> int:
     sysm = desc.build_system()
     s = frame_operator(sysm)
     flags = op_classify(s)
-    lo, hi = np.inf, -np.inf
-    for j in range(len(sysm.space.dims)):
-        w = sysm.space.weights[j]
-        ext = pencil_extremes(hermitian_part(w @ s.blocks[j]), w)
-        lo = min(lo, ext.lambda_min)
-        hi = max(hi, ext.lambda_max)
+    lo, hi = _operator_spectrum(sysm, s)
     doc = {
         "command": "frame-operator",
         "config": _config_block(args, desc.algebra),
@@ -443,8 +441,8 @@ def _cmd_frame_operator(args) -> int:
             "selfadjoint": flags.selfadjoint,
             "positive": flags.positive,
             "invertible": flags.invertible,
-            "lambda_min": float(lo),
-            "lambda_max": float(hi),
+            "lambda_min": lo,
+            "lambda_max": hi,
         },
     }
     _emit(doc, args.human)

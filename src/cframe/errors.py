@@ -82,6 +82,10 @@ class PreconditionUnverified(CFrameError):
     """A hypothesis that must be certified beforehand is not."""
 
 
+class NotFinite(CFrameError):
+    """A computed product overflowed; the message names the operator."""
+
+
 class BadParameters(CFrameError):
     """Scalar parameters outside their admissible domain."""
 

@@ -18,6 +18,19 @@ The per-fiber forms (the weight W_j, the frame form Phi_j raw and
 Hermitian, the comparison form Gamma_j) are built once per system, on
 first use, as read-only arrays in `ControlledFrameSystem.forms`; the
 bounds, the certificate checks and the pointwise checks all read them.
+
+The commutation flags of a system (C with C', C and C' with every
+T_i^* T_i, C and C' with K) are checked in one stacked pass when the
+system is built.  The fibers are grouped by dimension once, and each
+operand becomes one (g, n, n) stack per group; T_i^* T_i is formed from
+the blocks of T_i one member at a time.  Each commutator x y - y x
+costs one stacked matmul pair per group, and a group whose commutator
+is exactly zero adds nothing without an SVD.  Only a nonzero numerator
+takes the stacked SVD of W^(1/2) D W^(-1/2), and only then are the two
+operand norms taken, each at most once.  The result equals
+commutation_residual taken one by one, bit for bit; identity and
+scalar controls run no SVD at all.  A product that overflows raises
+NotFinite naming the operator, so no SVD sees a non-finite stack.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, alg_is_positive,
                       alg_is_strictly_nonzero)
-from .errors import (LengthMismatch, NotCommuting, NotGLPlus,
+from .errors import (LengthMismatch, NotCommuting, NotFinite, NotGLPlus,
                      SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
@@ -66,6 +79,87 @@ class CommutationFlags:
     worst_residual: float
 
 
+class _Operand:
+    """An endomorphism as one (g, n, n) stack per fiber group."""
+
+    def __init__(self, name: str, stacks: list[np.ndarray],
+                 fibers: _FiberStacks):
+        self.name = name
+        self.stacks = stacks
+        self._fibers = fibers
+
+    @cached_property
+    def norm(self) -> float:
+        """op_norm of the operator, taken on first use only."""
+        worst = 0.0
+        for g, x in enumerate(self.stacks):
+            worst = max(worst, self._fibers.largest_sv(x, g, self.name))
+        return worst
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NotFinite(f"{what} is not finite")
+    return arr
+
+
+class _FiberStacks:
+    """The fibers of a space grouped by dimension, with weight stacks.
+
+    Every product is associated as in op_adjoint, op_compose and
+    op_norm, and a stacked matmul or SVD treats each fiber as the
+    unstacked call does, so the results equal those of the operator
+    functions bit for bit.
+    """
+
+    def __init__(self, space: ModuleSpace):
+        groups: dict[int, list[int]] = {}
+        for j, n in enumerate(space.dims):
+            groups.setdefault(n, []).append(j)
+        self.groups = list(groups.values())
+        d = range(len(space.dims))
+        self.weight = self.stack(space.weights)
+        self.weight_inv = self.stack([space.weight_inv(j) for j in d])
+        self.sqrt = self.stack([space.weight_sqrt(j) for j in d])
+        self.isqrt = self.stack([space.weight_isqrt(j) for j in d])
+
+    def stack(self, mats) -> list[np.ndarray]:
+        return [np.stack([mats[j] for j in idx]) for idx in self.groups]
+
+    def operand(self, name: str, blocks) -> _Operand:
+        return _Operand(name, self.stack(blocks), self)
+
+    def gram_operand(self, name: str, blocks) -> _Operand:
+        """T^* T from the blocks M of T: ((W^-1 M^H) W) M per fiber."""
+        stacks = []
+        for m, w, winv in zip(self.stack(blocks), self.weight,
+                              self.weight_inv):
+            tt = winv @ m.conj().transpose(0, 2, 1) @ w @ m
+            stacks.append(_finite(tt, f"{name}^* {name}"))
+        return _Operand(f"{name}^* {name}", stacks, self)
+
+    def largest_sv(self, x: np.ndarray, g: int, what: str) -> float:
+        """Largest singular value of W^(1/2) x W^(-1/2) over group g."""
+        m = _finite(self.sqrt[g] @ x @ self.isqrt[g], what)
+        return float(np.linalg.svd(m, compute_uv=False).max())
+
+    def residual(self, x: _Operand, y: _Operand) -> float:
+        """commutation_residual of x and y, commutator first.
+
+        A group whose commutator is exactly zero adds 0 without an SVD,
+        and the operand norms are taken only for a nonzero numerator.
+        """
+        what = f"commutator of {x.name} and {y.name}"
+        num = 0.0
+        for g, (xs, ys) in enumerate(zip(x.stacks, y.stacks)):
+            diff = xs @ ys - ys @ xs
+            if diff.any():
+                num = max(num, self.largest_sv(_finite(diff, what), g, what))
+        if num == 0.0:
+            return 0.0
+        return num / max(x.norm * y.norm, 1e-300)
+
+
 @dataclass(frozen=True, eq=False)
 class ControlledFrameSystem:
     space: ModuleSpace
@@ -90,21 +184,22 @@ class ControlledFrameSystem:
         object.__setattr__(self, "flags", self._compute_flags())
 
     def _compute_flags(self) -> CommutationFlags:
-        # Each operand's norm is taken once and shared by its residuals.
-        c, cp, k = self.control, self.control_prime, self.comparison
-        nc, ncp, nk = op_norm(c), op_norm(cp), op_norm(k)
-        worst = commutation_residual(c, cp, norms=(nc, ncp))
-        cc = worst <= _COMMUTE_RTOL
-        fam = 0.0
-        for t in self.family:
-            tt = op_compose(op_adjoint(t), t)
-            ntt = op_norm(tt)
-            fam = max(fam, commutation_residual(c, tt, norms=(nc, ntt)))
-            fam = max(fam, commutation_residual(cp, tt, norms=(ncp, ntt)))
-        kk = max(commutation_residual(c, k, norms=(nc, nk)),
-                 commutation_residual(cp, k, norms=(ncp, nk)))
+        fibers = _FiberStacks(self.space)
+        c = fibers.operand("control", self.control.blocks)
+        cp = fibers.operand("control_prime", self.control_prime.blocks)
+        k = fibers.operand("comparison", self.comparison.blocks)
+        # Overflow is caught by the finite checks, which raise NotFinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = fibers.residual(c, cp)
+            fam = 0.0
+            for i, t in enumerate(self.family):
+                # One member's T^* T stacks are alive at a time.
+                tt = fibers.gram_operand(f"family[{i}]", t.blocks)
+                fam = max(fam, fibers.residual(c, tt))
+                fam = max(fam, fibers.residual(cp, tt))
+            kk = max(fibers.residual(c, k), fibers.residual(cp, k))
         return CommutationFlags(
-            controls_commute=cc,
+            controls_commute=worst <= _COMMUTE_RTOL,
             controls_with_family=fam <= _COMMUTE_RTOL,
             controls_with_k=kk <= _COMMUTE_RTOL,
             worst_residual=max(worst, fam, kk),

@@ -50,12 +50,16 @@ def build_example(n_max: int, alpha: float, beta: float) -> ExampleSystem:
     """Assemble the truncated sequence system.
 
     n_max is the truncation length (at least 3 so the family is
-    nonempty); alpha and beta must be positive.
+    nonempty); alpha and beta must be positive, and alpha, beta and
+    alpha beta finite.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 3:
         raise BadParameters("truncation length must be an integer >= 3")
     if not (alpha > 0 and beta > 0):
         raise BadParameters("control scalars must be positive")
+    # With both positive, alpha beta is infinite when alpha or beta is.
+    if not np.isfinite(alpha * beta):
+        raise BadParameters("control scalars and their product must be finite")
     alg = Algebra(int(n_max))
     space = make_space(alg, [(1, [[1.0 / n]]) for n in range(1, n_max + 1)])
     family = []

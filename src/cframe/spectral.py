@@ -118,7 +118,6 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
     keep = lam > rank_rtol * gmax
     u_r = u[:, keep]
     lam_r = lam[keep]
-    p_u = u.conj().T @ p @ u
     if not np.all(keep):
         u_k = u[:, ~keep]
         p_rr = u_r.conj().T @ p @ u_r
@@ -128,7 +127,7 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
         # complement below is the exact minimum over kernel components.
         s = p_rr - p_rk @ np.linalg.pinv(p_kk, rcond=rank_rtol) @ p_rk.conj().T
     else:
-        s = p_u
+        s = u.conj().T @ p @ u
     scaled = (s / np.sqrt(lam_r)[None, :]) / np.sqrt(lam_r)[:, None]
     val = float(np.linalg.eigvalsh(hermitian_part(scaled))[0])
     return max(val, 0.0)

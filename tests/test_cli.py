@@ -166,6 +166,16 @@ def test_non_finite_entry_is_a_json_error(tmp_path, capsys, bad, place,
     assert re.match(field + ": entry is not finite", out["error"]["message"])
 
 
+def test_overflowing_gram_is_a_json_error(tmp_path, capsys):
+    with open(golden("identity_system.json")) as fh:
+        doc = json.load(fh)
+    doc["operators"]["I"][0][0][0] = [1e200, 0.0]
+    code, out = run_json(capsys, ["certify", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"]["type"] == "NotFinite"
+    assert "family[0]" in out["error"]["message"]
+
+
 @pytest.mark.parametrize("key", ["eps_pos", "eps_nz"])
 @pytest.mark.parametrize("value", [-1, 0.0, "abc", True, float("nan"),
                                    10 ** 400])
@@ -277,6 +287,25 @@ def test_douglas_inclusion_reports_factor(tmp_path, capsys):
     assert out["result"]["scale"] == pytest.approx(9.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    ("1e200", "1e200"), ("inf", "1.0"), ("1.0", "inf"),
+])
+def test_example_overflowing_scalars_exit_one(capsys, alpha, beta):
+    code, out = run_json(capsys, ["example", "--n", "9", "--alpha", alpha,
+                                  "--beta", beta])
+    assert code == 1
+    assert out["error"]["type"] == "BadParameters"
+
+
+def test_frame_operator_of_identity_system(capsys):
+    code, out = run_json(capsys, ["frame-operator",
+                                  golden("identity_system.json")])
+    assert code == 0
+    assert out["result"]["lambda_min"] == 1.0
+    assert out["result"]["lambda_max"] == 1.0
+    assert out["result"]["positive"] is True
+
+
 def test_example_subcommand(capsys):
     code, out = run_json(capsys, ["example", "--n", "9", "--alpha", "2.0",
                                   "--beta", "3.0", "--samples", "50"])
@@ -323,3 +352,16 @@ def test_bad_env_tolerance_is_an_error(tmp_path, capsys, monkeypatch):
     code, out = run_json(capsys, ["certify", path])
     assert code == 1
     assert out["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_env_tolerance_is_an_error(tmp_path, capsys, monkeypatch,
+                                              value):
+    doc = weighted_doc()
+    del doc["algebra"]["eps_pos"]
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setenv("CFRAME_TOLERANCE", value)
+    code, out = run_json(capsys, ["certify", path])
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+    assert "CFRAME_TOLERANCE" in out["error"]["message"]

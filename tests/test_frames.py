@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     STATUS_FRAME, STATUS_NOT_FRAME, analysis, certify,
@@ -13,6 +15,7 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     zero_operator)
 from cframe.errors import (NotCommuting, NotGLPlus, SingularFrameOperator,
                            SpaceMismatch)
+from cframe.frames import _COMMUTE_RTOL
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
                             random_space, random_system, random_vector,
                             scalar_glplus, unitary_diag_family)
@@ -538,6 +541,69 @@ def test_flags_match_residuals_taken_one_by_one():
     want += [commutation_residual(x, g) for g in grams for x in (c, cp)]
     want += [commutation_residual(c, k), commutation_residual(cp, k)]
     assert sysr.flags.worst_residual == max(want)
+
+
+CONTROL_KINDS = ["identity", "scalar", "diagonal", "hpd"]
+
+
+def positive_control(rng, space, kind):
+    """A GL+ control of the given kind; None is the identity default.
+
+    Diagonal and HPD matrices P are positive only for flat weights; with
+    HPD weights the control is W^-1 P, whose weighted form W W^-1 P = P
+    is positive.  Scalars are positive under any weight.
+    """
+    if kind == "identity":
+        return None
+    blocks = []
+    for j, n in enumerate(space.dims):
+        if kind == "scalar":
+            blocks.append(rng.uniform(0.5, 2.0) * np.eye(n, dtype=complex))
+            continue
+        p = (np.diag(rng.uniform(0.5, 2.0, size=n)) + 0j if kind == "diagonal"
+             else random_hpd(rng, n))
+        flat = np.array_equal(space.weights[j], np.eye(n))
+        blocks.append(p if flat else space.weight_inv(j) @ p)
+    return ModuleOperator(space, space, tuple(blocks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       weights=st.sampled_from(["identity", "random"]),
+       c_kind=st.sampled_from(CONTROL_KINDS),
+       cp_kind=st.sampled_from(CONTROL_KINDS),
+       k_kind=st.sampled_from(["identity", "scalar", "dense"]),
+       fam_kind=st.sampled_from(["unitary_diag", "dense"]),
+       members=st.integers(1, 3))
+def test_stacked_flags_equal_one_by_one_residuals(seed, dims, weights, c_kind,
+                                                  cp_kind, k_kind, fam_kind,
+                                                  members):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, Algebra(len(dims)), dims, weights=weights)
+    fam = (unitary_diag_family(rng, space, members)
+           if fam_kind == "unitary_diag"
+           else [random_operator(rng, space) for _ in range(members)])
+    k = {"identity": None, "scalar": scalar_glplus(rng, space),
+         "dense": random_operator(rng, space)}[k_kind]
+    sysr = frame_system(space, fam,
+                        control=positive_control(rng, space, c_kind),
+                        control_prime=positive_control(rng, space, cp_kind),
+                        comparison=k)
+    c, cp, k = sysr.control, sysr.control_prime, sysr.comparison
+    grams = [op_compose(op_adjoint(t), t) for t in fam]
+    r_cc = commutation_residual(c, cp)
+    r_fam = [commutation_residual(x, g) for g in grams for x in (c, cp)]
+    r_k = [commutation_residual(c, k), commutation_residual(cp, k)]
+    flags = sysr.flags
+    assert flags.controls_commute == (r_cc <= _COMMUTE_RTOL)
+    assert flags.controls_with_family == (max(r_fam) <= _COMMUTE_RTOL)
+    assert flags.controls_with_k == (max(r_k) <= _COMMUTE_RTOL)
+    want = max([r_cc] + r_fam + r_k)
+    assert flags.worst_residual.hex() == want.hex()
+    if {c_kind, cp_kind} <= {"identity", "scalar"}:
+        # Scalar controls commute exactly: every commutator is zero.
+        assert flags.worst_residual == 0.0
 
 
 # -- the per-system form bundle --------------------------------------------

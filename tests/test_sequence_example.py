@@ -146,6 +146,10 @@ def test_bad_parameters():
         build_example(5, 0.0, 1.0)
     with pytest.raises(BadParameters):
         build_example(5, 1.0, -2.0)
+    for alpha, beta in ((float("inf"), 1.0), (1.0, float("inf")),
+                        (1e200, 1e200)):
+        with pytest.raises(BadParameters, match="finite"):
+            build_example(5, alpha, beta)
 
 
 def test_numpy_integer_length_accepted():
