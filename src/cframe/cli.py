@@ -23,20 +23,22 @@ import sys
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement, alg_is_positive
-from .errors import (CFrameError, NotIncluded, ParseError, ValidationError)
+from .algebra import Algebra, AlgebraElement
+from .errors import CFrameError, NotIncluded, ParseError, ValidationError
 from .frames import (STATUS_FRAME, ControlledFrameSystem, _operator_spectrum,
                      certify, frame_operator, frame_system, reconstruct,
                      verify_bounds)
-from .module_space import ModuleSpace, make_space
-from .operators import (ModuleOperator, identity, op_classify, op_compose,
-                        op_norm)
+from .module_space import ModuleSpace, make_space, module_norm
+from .operators import ModuleOperator, identity, op_classify, op_norm
 from .sequence_example import (build_example, example_certificate,
                                example_sum_identity)
-from .testing import random_system, random_vector
+from .testing import (diagonal_operator, escape_operator,
+                      random_operator_in_range,
+                      random_operator_rank_deficient, random_system,
+                      random_vector)
 from .transforms import (HomomorphismSpec, compose_with_q, douglas_solve,
-                         invertible_q_bounds, phi_element,
-                         range_inclusion_transfer, transport)
+                         invertible_q_bounds, range_inclusion_transfer,
+                         transport)
 
 USAGE_EXIT = 64
 
@@ -46,10 +48,6 @@ USAGE_EXIT = 64
 def _cnum(z) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
-
-
-def _element_json(a: AlgebraElement) -> list[list[float]]:
-    return [_cnum(v) for v in a.values]
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -176,15 +174,47 @@ def _default_eps_pos() -> float:
     return val
 
 
-def _tolerance(alg_doc: dict, key: str, default: float) -> float:
-    if key not in alg_doc:
-        return default
+def _is_int(v) -> bool:
+    """A JSON integer: bool is a subclass of int, and is refused here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _tolerance(alg_doc: dict, key: str) -> float:
     val = alg_doc[key]
     # abs(val) <= max fails for NaN and for ints too large for a float.
     if (isinstance(val, bool) or not isinstance(val, (int, float))
             or not abs(val) <= sys.float_info.max):
         raise ValidationError(f"algebra.{key}: must be a finite number")
     return float(val)
+
+
+def _parse_space(doc, algebra: Algebra, where: str) -> ModuleSpace:
+    """One fiber per character of algebra, each a dim and optional weight."""
+    if not isinstance(doc, dict) or "fibers" not in doc:
+        raise ValidationError(f"{where}: block with fibers list required")
+    fibers = doc["fibers"]
+    if not isinstance(fibers, list) or len(fibers) != algebra.d:
+        raise ValidationError(
+            f"{where}.fibers: need exactly {algebra.d} fibers"
+        )
+    specs = []
+    for j, f in enumerate(fibers):
+        at = f"{where}.fibers[{j}]"
+        if not isinstance(f, dict) or "dim" not in f:
+            raise ValidationError(f"{at}: object with dim required")
+        n = f["dim"]
+        if not _is_int(n) or n < 1:
+            raise ValidationError(f"{at}.dim: positive integer")
+        if "weight" in f:
+            w = _parse_matrix(f["weight"], f"{at}.weight")
+            if w.shape != (n, n):
+                raise ValidationError(
+                    f"{at}.weight: expected shape ({n}, {n})"
+                )
+            specs.append((n, w))
+        else:
+            specs.append(n)
+    return make_space(algebra, specs)
 
 
 def description_from_dict(doc: dict) -> SystemDescription:
@@ -194,38 +224,18 @@ def description_from_dict(doc: dict) -> SystemDescription:
     if not isinstance(alg_doc, dict) or "d" not in alg_doc:
         raise ValidationError("algebra: block with character count d required")
     d = alg_doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError("algebra.d: must be a positive integer")
-    eps_pos = _tolerance(alg_doc, "eps_pos", _default_eps_pos())
-    eps_nz = _tolerance(alg_doc, "eps_nz", 1e-8)
+    # The environment is read only when the file leaves eps_pos out.
+    eps_pos = (_tolerance(alg_doc, "eps_pos") if "eps_pos" in alg_doc
+               else _default_eps_pos())
+    eps_nz = _tolerance(alg_doc, "eps_nz") if "eps_nz" in alg_doc else 1e-8
     try:
         algebra = Algebra(d, eps_pos=eps_pos, eps_nz=eps_nz)
     except ValueError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 
-    sp_doc = doc.get("space")
-    if not isinstance(sp_doc, dict) or "fibers" not in sp_doc:
-        raise ValidationError("space: block with fibers list required")
-    fibers = sp_doc["fibers"]
-    if not isinstance(fibers, list) or len(fibers) != d:
-        raise ValidationError(f"space.fibers: need exactly {d} fibers")
-    specs = []
-    for j, f in enumerate(fibers):
-        if not isinstance(f, dict) or "dim" not in f:
-            raise ValidationError(f"space.fibers[{j}]: object with dim required")
-        n = f["dim"]
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"space.fibers[{j}].dim: positive integer")
-        if "weight" in f:
-            w = _parse_matrix(f["weight"], f"space.fibers[{j}].weight")
-            if w.shape != (n, n):
-                raise ValidationError(
-                    f"space.fibers[{j}].weight: expected shape ({n}, {n})"
-                )
-            specs.append((n, w))
-        else:
-            specs.append(n)
-    space = make_space(algebra, specs)
+    space = _parse_space(doc.get("space"), algebra, "space")
 
     ops: dict[str, ModuleOperator] = {}
     for name, blocks in (doc.get("operators") or {}).items():
@@ -334,7 +344,7 @@ def _native(value):
     if isinstance(value, (list, tuple)):
         return [_native(v) for v in value]
     if isinstance(value, AlgebraElement):
-        return _element_json(value)
+        return [_cnum(v) for v in value.values]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -366,19 +376,21 @@ def _emit(doc: dict, human: bool) -> None:
         print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _config_block(args, algebra: Algebra | None) -> dict:
-    cfg = {"seed": args.seed, "samples": args.samples}
-    if algebra is not None:
-        cfg["eps_pos"] = algebra.eps_pos
-        cfg["eps_nz"] = algebra.eps_nz
-    return cfg
+def _report(command: str, args, algebra: Algebra, result: dict) -> None:
+    """Emit the envelope every subcommand shares."""
+    _emit({
+        "command": command,
+        "config": {"seed": args.seed, "samples": args.samples,
+                   "eps_pos": algebra.eps_pos, "eps_nz": algebra.eps_nz},
+        "result": result,
+    }, args.human)
 
 
 def _certificate_json(cert) -> dict:
     return {
         "status": cert.status,
-        "lower": _element_json(cert.lower),
-        "upper": _element_json(cert.upper),
+        "lower": cert.lower,
+        "upper": cert.upper,
         "tight": cert.tight,
         "lower_residual": cert.lower_residual,
         "upper_residual": cert.upper_residual,
@@ -392,38 +404,23 @@ def _cmd_certify(args) -> int:
     desc = parse_system(args.file)
     sysm = desc.build_system()
     cert = certify(sysm, samples=args.samples, seed=args.seed)
-    doc = {
-        "command": "certify",
-        "config": _config_block(args, desc.algebra),
-        "result": _certificate_json(cert) | {
-            "commutation": {
-                "controls_commute": sysm.flags.controls_commute,
-                "controls_with_family": sysm.flags.controls_with_family,
-                "controls_with_comparison": sysm.flags.controls_with_k,
-                "worst_residual": sysm.flags.worst_residual,
-            }
-        },
-    }
-    _emit(doc, args.human)
+    _report("certify", args, desc.algebra, _certificate_json(cert) | {
+        "commutation": {
+            "controls_commute": sysm.flags.controls_commute,
+            "controls_with_family": sysm.flags.controls_with_family,
+            "controls_with_comparison": sysm.flags.controls_with_k,
+            "worst_residual": sysm.flags.worst_residual,
+        }
+    })
     return 0 if cert.status == STATUS_FRAME else 2
 
 
 def _cmd_bounds(args) -> int:
     desc = parse_system(args.file)
-    sysm = desc.build_system()
-    cert = certify(sysm, samples=0, seed=args.seed)
-    doc = {
-        "command": "bounds",
-        "config": _config_block(args, desc.algebra),
-        "result": {
-            "status": cert.status,
-            "lower": _element_json(cert.lower),
-            "upper": _element_json(cert.upper),
-            "tight": cert.tight,
-            "vacuous_fibers": list(cert.vacuous),
-        },
-    }
-    _emit(doc, args.human)
+    cert = certify(desc.build_system(), samples=0, seed=args.seed)
+    result = _certificate_json(cert)
+    del result["lower_residual"], result["upper_residual"]
+    _report("bounds", args, desc.algebra, result)
     return 0 if cert.status == STATUS_FRAME else 2
 
 
@@ -433,19 +430,14 @@ def _cmd_frame_operator(args) -> int:
     s = frame_operator(sysm)
     flags = op_classify(s)
     lo, hi = _operator_spectrum(sysm, s)
-    doc = {
-        "command": "frame-operator",
-        "config": _config_block(args, desc.algebra),
-        "result": {
-            "blocks": [_matrix_json(b) for b in s.blocks],
-            "selfadjoint": flags.selfadjoint,
-            "positive": flags.positive,
-            "invertible": flags.invertible,
-            "lambda_min": lo,
-            "lambda_max": hi,
-        },
-    }
-    _emit(doc, args.human)
+    _report("frame-operator", args, desc.algebra, {
+        "blocks": [_matrix_json(b) for b in s.blocks],
+        "selfadjoint": flags.selfadjoint,
+        "positive": flags.positive,
+        "invertible": flags.invertible,
+        "lambda_min": lo,
+        "lambda_max": hi,
+    })
     return 0
 
 
@@ -456,129 +448,85 @@ def _task_operator(desc: SystemDescription, key: str) -> ModuleOperator:
     return desc.operator(name, f"task.{key}")
 
 
-def _transform_report_json(report) -> dict:
-    out = {
-        "lower": _element_json(report.lower),
-        "upper": _element_json(report.upper),
-        "verified": report.verified,
-        "residual": report.residual,
-    }
-    for key, val in sorted(report.details.items()):
-        out[key] = _native(val)
-    return out
+def _hom_spec(desc: SystemDescription) -> HomomorphismSpec:
+    """task.hom, checked against the source space before it is built."""
+    hom = desc.task.get("hom")
+    if not isinstance(hom, dict):
+        raise ValidationError("task.hom: object required")
+    for key in ("char_map", "theta", "target_space"):
+        if key not in hom:
+            raise ValidationError(f"task.hom.{key}: required")
+    alg = desc.algebra
+    char_map = hom["char_map"]
+    if (not isinstance(char_map, list) or not char_map
+            or not all(_is_int(i) and 0 <= i < alg.d for i in char_map)):
+        raise ValidationError(
+            "task.hom.char_map: nonempty list of source characters "
+            f"0..{alg.d - 1}"
+        )
+    target = _parse_space(
+        hom["target_space"],
+        Algebra(len(char_map), eps_pos=alg.eps_pos, eps_nz=alg.eps_nz),
+        "task.hom.target_space",
+    )
+    theta = hom["theta"]
+    if not isinstance(theta, list) or len(theta) != len(char_map):
+        raise ValidationError(
+            "task.hom.theta: one matrix per target character"
+        )
+    blocks = []
+    for k, (b, i) in enumerate(zip(theta, char_map)):
+        m = _parse_matrix(b, f"task.hom.theta[{k}]")
+        shape = (target.dims[k], desc.space.dims[i])
+        if m.shape != shape:
+            raise ValidationError(
+                f"task.hom.theta[{k}]: expected shape {shape}"
+            )
+        blocks.append(m)
+    return HomomorphismSpec(tuple(char_map), tuple(blocks), target)
+
+
+def _transform(desc: SystemDescription, args) -> tuple[dict, bool]:
+    """The result block of one transform and whether it verified."""
+    if args.kind == "douglas":
+        sol = douglas_solve(_task_operator(desc, "t"),
+                            _task_operator(desc, "tprime"))
+        return {
+            "status": "included",
+            "scale": sol.scale,
+            "residual": sol.residual,
+            "factor_norm": op_norm(sol.factor),
+            "factor_blocks": [_matrix_json(b) for b in sol.factor.blocks],
+        }, True
+    sysm = desc.build_system()
+    sampling = {"samples": args.samples, "seed": args.seed}
+    if args.kind == "q":
+        _, report = compose_with_q(sysm, _task_operator(desc, "q"),
+                                   **sampling)
+    elif args.kind == "invq":
+        report = invertible_q_bounds(sysm, _task_operator(desc, "q"),
+                                     **sampling)
+    elif args.kind == "range":
+        u = _task_operator(desc, "u")
+        cert = certify(sysm, **sampling)
+        _, report = range_inclusion_transfer(sysm, cert, u, **sampling)
+    else:  # "hom"; argparse admits no other kind
+        _, report = transport(sysm, _hom_spec(desc),
+                              samples=min(args.samples, 200), seed=args.seed)
+    result = {"lower": report.lower, "upper": report.upper,
+              "verified": report.verified, "residual": report.residual}
+    return result | report.details, report.verified
 
 
 def _cmd_transform(args) -> int:
     desc = parse_system(args.file)
-    kind = args.kind
-    if kind == "douglas":
-        t = _task_operator(desc, "t")
-        tp = _task_operator(desc, "tprime")
-        try:
-            sol = douglas_solve(t, tp)
-        except NotIncluded as exc:
-            doc = {
-                "command": "transform-douglas",
-                "config": _config_block(args, desc.algebra),
-                "result": {"status": "not_included",
-                           "residual": exc.residual},
-            }
-            _emit(doc, args.human)
-            return 2
-        doc = {
-            "command": "transform-douglas",
-            "config": _config_block(args, desc.algebra),
-            "result": {
-                "status": "included",
-                "scale": sol.scale,
-                "residual": sol.residual,
-                "factor_norm": op_norm(sol.factor),
-                "factor_blocks": [_matrix_json(b) for b in sol.factor.blocks],
-            },
-        }
-        _emit(doc, args.human)
-        return 0
-
-    sysm = desc.build_system()
-    if kind == "q":
-        q = _task_operator(desc, "q")
-        _, report = compose_with_q(sysm, q, samples=args.samples,
-                                   seed=args.seed)
-        name = "transform-q"
-    elif kind == "invq":
-        q = _task_operator(desc, "q")
-        report = invertible_q_bounds(sysm, q, samples=args.samples,
-                                     seed=args.seed)
-        name = "transform-invq"
-    elif kind == "range":
-        u = _task_operator(desc, "u")
-        cert = certify(sysm, samples=args.samples, seed=args.seed)
-        try:
-            _, report = range_inclusion_transfer(
-                sysm, cert, u, samples=args.samples, seed=args.seed
-            )
-        except NotIncluded as exc:
-            doc = {
-                "command": "transform-range",
-                "config": _config_block(args, desc.algebra),
-                "result": {"status": "not_included",
-                           "residual": exc.residual},
-            }
-            _emit(doc, args.human)
-            return 2
-        name = "transform-range"
-    elif kind == "hom":
-        hom_doc = desc.task.get("hom")
-        if not isinstance(hom_doc, dict):
-            raise ValidationError("task.hom: object required")
-        for key in ("char_map", "theta", "target_space"):
-            if key not in hom_doc:
-                raise ValidationError(f"task.hom.{key}: required")
-        char_map = hom_doc["char_map"]
-        if (not isinstance(char_map, list)
-                or not all(isinstance(i, int) for i in char_map)):
-            raise ValidationError("task.hom.char_map: list of integers")
-        tgt_doc = hom_doc["target_space"]
-        if not isinstance(tgt_doc, dict) or "fibers" not in tgt_doc:
-            raise ValidationError("task.hom.target_space: fibers required")
-        tgt_alg = Algebra(len(char_map), eps_pos=desc.algebra.eps_pos,
-                          eps_nz=desc.algebra.eps_nz)
-        specs = []
-        for j, f in enumerate(tgt_doc["fibers"]):
-            if not isinstance(f, dict) or "dim" not in f:
-                raise ValidationError(
-                    f"task.hom.target_space.fibers[{j}]: dim required"
-                )
-            if "weight" in f:
-                specs.append((f["dim"], _parse_matrix(
-                    f["weight"], f"task.hom.target_space.fibers[{j}].weight"
-                )))
-            else:
-                specs.append(f["dim"])
-        target_space = make_space(tgt_alg, specs)
-        theta = hom_doc["theta"]
-        if not isinstance(theta, list) or len(theta) != len(char_map):
-            raise ValidationError(
-                "task.hom.theta: one matrix per target character"
-            )
-        blocks = tuple(
-            _parse_matrix(b, f"task.hom.theta[{k}]")
-            for k, b in enumerate(theta)
-        )
-        hom = HomomorphismSpec(tuple(char_map), blocks, target_space)
-        _, report = transport(sysm, hom, samples=min(args.samples, 200),
-                              seed=args.seed)
-        name = "transform-hom"
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValidationError(f"unknown transform kind {kind!r}")
-
-    doc = {
-        "command": name,
-        "config": _config_block(args, desc.algebra),
-        "result": _transform_report_json(report),
-    }
-    _emit(doc, args.human)
-    return 0 if report.verified else 2
+    try:
+        result, verified = _transform(desc, args)
+    except NotIncluded as exc:
+        result = {"status": "not_included", "residual": exc.residual}
+        verified = False
+    _report(f"transform-{args.kind}", args, desc.algebra, result)
+    return 0 if verified else 2
 
 
 def _cmd_example(args) -> int:
@@ -590,27 +538,22 @@ def _cmd_example(args) -> int:
         worst = max(worst, example_sum_identity(es, x).residual)
     ec = example_certificate(es, samples=min(args.samples, 200),
                              seed=args.seed)
-    doc = {
-        "command": "example",
-        "config": _config_block(args, es.space.algebra),
-        "result": {
-            "n": es.n_max,
-            "alpha": es.alpha,
-            "beta": es.beta,
-            "family_size": len(es.family),
-            "identity_residual": worst,
-            "status": ec.certificate.status,
-            "tight": ec.certificate.tight,
-            "fitted_lower": _element_json(ec.fitted_lower),
-            "nominal_lower": _element_json(ec.nominal_lower),
-            "nominal_matches": ec.nominal_matches,
-            "nominal_residual": ec.nominal_residual,
-            "equality_residual": ec.equality_residual,
-            "bessel_min_slack": ec.bessel_min_slack,
-            "upper": _element_json(ec.certificate.upper),
-        },
-    }
-    _emit(doc, args.human)
+    _report("example", args, es.space.algebra, {
+        "n": es.n_max,
+        "alpha": es.alpha,
+        "beta": es.beta,
+        "family_size": len(es.family),
+        "identity_residual": worst,
+        "status": ec.certificate.status,
+        "tight": ec.certificate.tight,
+        "fitted_lower": ec.fitted_lower,
+        "nominal_lower": ec.nominal_lower,
+        "nominal_matches": ec.nominal_matches,
+        "nominal_residual": ec.nominal_residual,
+        "equality_residual": ec.equality_residual,
+        "bessel_min_slack": ec.bessel_min_slack,
+        "upper": ec.certificate.upper,
+    })
     return 0
 
 
@@ -651,7 +594,6 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
                         seed=seed + 1)
     x = random_vector(rng, sysm.space)
     rec = reconstruct(sysm, x, method="richardson")
-    from .module_space import module_norm
     rec_err = module_norm(rec.vector - x) / max(module_norm(x), 1e-300)
     cases.append({
         "name": "random_frame_roundtrip",
@@ -668,7 +610,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
     sol = douglas_solve(t, d_ok)
     escaped = False
     try:
-        douglas_solve(t, _escape_operator(rng, t))
+        douglas_solve(t, escape_operator(rng, t))
     except NotIncluded:
         escaped = True
     cases.append({
@@ -678,7 +620,6 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
         "escape_detected": escaped,
     })
 
-    from .testing import diagonal_operator
     sys2 = random_system(rng, d=2, dims=[3, 2], ops=2)
     q = diagonal_operator(rng, sys2.space)
     _, rep = compose_with_q(sys2, q, samples=samples, seed=seed)
@@ -708,58 +649,25 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
     return cases
 
 
-def random_operator_rank_deficient(rng, space) -> ModuleOperator:
-    """One rank-deficient block per fiber, for inclusion tests."""
-    blocks = []
-    for n in space.dims:
-        r = max(1, n - 1)
-        a = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
-        b = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
-        blocks.append((a @ b) / np.sqrt(2.0))
-    return ModuleOperator(space, space, tuple(blocks))
-
-
-def random_operator_in_range(rng, t: ModuleOperator) -> ModuleOperator:
-    """t composed with a random factor, so ranges nest by construction."""
-    blocks = tuple(
-        b @ ((rng.standard_normal((b.shape[1], b.shape[1]))
-              + 1j * rng.standard_normal((b.shape[1], b.shape[1])))
-             / np.sqrt(2.0))
-        for b in t.blocks
-    )
-    return ModuleOperator(t.domain, t.codomain, blocks)
-
-
-def _escape_operator(rng, t: ModuleOperator) -> ModuleOperator:
-    """Adds a rank-one piece orthogonal to each deficient range."""
-    blocks = []
-    for b in t.blocks:
-        u, s, _ = np.linalg.svd(b)
-        rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
-        if rank >= b.shape[0]:
-            blocks.append(b)
-            continue
-        w = u[:, -1]
-        v = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
-        blocks.append(b + np.outer(w, v))
-    return ModuleOperator(t.domain, t.codomain, tuple(blocks))
-
-
 def _cmd_selftest(args) -> int:
     cases = _selftest_cases(args.seed, args.samples)
     all_pass = all(c["pass"] for c in cases)
-    doc = {
-        "command": "selftest",
-        "config": _config_block(args, None) | {
-            "eps_pos": _default_eps_pos(), "eps_nz": 1e-8,
-        },
-        "result": {"cases": cases, "all_pass": all_pass},
-    }
-    _emit(doc, args.human)
+    # selftest reads no file, so its config names the default tolerances.
+    _report("selftest", args, Algebra(1, eps_pos=_default_eps_pos()),
+            {"cases": cases, "all_pass": all_pass})
     return 0 if all_pass else 1
 
 
 # -- argument parsing ----------------------------------------------------
+
+def _sample_count(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -774,7 +682,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--samples", type=_sample_count, default=1000)
         p.add_argument("--human", action="store_true")
 
     p = sub.add_parser("certify", help="two-sided bound certificate")
@@ -820,16 +728,12 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args.human)
-        return 1
     except CFrameError as exc:
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        err = {"type": type(exc).__name__, "message": str(exc)}
         res = getattr(exc, "residual", None)
         if res is not None:
-            doc["error"]["residual"] = float(res)
-        _emit(doc, args.human)
+            err["residual"] = float(res)
+        _emit({"error": err}, args.human)
         return 1
 
 

@@ -28,6 +28,7 @@ from .frames import (STATUS_FRAME, ControlledFrameSystem, FrameCertificate,
                      frame_system)
 from .module_space import ModuleSpace, ModuleVector, inner_product, make_space
 from .operators import ModuleOperator, scalar_operator
+from .testing import random_vector
 
 _EQ_RTOL = 1e-12
 
@@ -57,6 +58,10 @@ def build_example(n_max: int, alpha: float, beta: float) -> ExampleSystem:
         raise BadParameters("truncation length must be an integer >= 3")
     if not (alpha > 0 and beta > 0):
         raise BadParameters("control scalars must be positive")
+    try:
+        alpha, beta = float(alpha), float(beta)
+    except OverflowError:  # an int beyond the float range
+        alpha = beta = np.inf
     # With both positive, alpha beta is infinite when alpha or beta is.
     if not np.isfinite(alpha * beta):
         raise BadParameters("control scalars and their product must be finite")
@@ -71,8 +76,7 @@ def build_example(n_max: int, alpha: float, beta: float) -> ExampleSystem:
             for n in range(1, n_max + 1)
         )
         family.append(ModuleOperator(space, space, blocks))
-    return ExampleSystem(int(n_max), float(alpha), float(beta), space,
-                         tuple(family))
+    return ExampleSystem(int(n_max), alpha, beta, space, tuple(family))
 
 
 def as_system(es: ExampleSystem) -> ControlledFrameSystem:
@@ -147,14 +151,6 @@ class ExampleCertificate:
     bessel_min_slack: float
 
 
-def _random_x(es: ExampleSystem, rng) -> ModuleVector:
-    parts = tuple(
-        (rng.standard_normal(1) + 1j * rng.standard_normal(1)) / np.sqrt(2.0)
-        for _ in range(es.n_max)
-    )
-    return ModuleVector(es.space, parts)
-
-
 def example_certificate(es: ExampleSystem, *, samples: int = 100,
                         seed: int = 0) -> ExampleCertificate:
     """Tight certificate for the sequence system.
@@ -185,7 +181,7 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
     nom_res = 0.0
     bessel_slack = np.inf
     for _ in range(max(samples, 1)):
-        x = _random_x(es, rng)
+        x = random_vector(rng, es.space)
         lhs = family_form_element(es, x)
         kf = comparison_form_element(es, x)
         xx = inner_product(x, x)

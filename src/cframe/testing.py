@@ -1,7 +1,8 @@
 """Seeded generators for random algebras, spaces, operators and systems.
 
-Shared between the test suites and the CLI selftest so both exercise
-the same distribution of instances.  Systems produced here satisfy the
+Shared between the test suites, the CLI selftest and the sampled checks
+of the library, so all of them exercise the same distribution of
+instances.  Systems produced here satisfy the
 commutation hypotheses by construction: either the controls are fiber
 scalars, or the family members have diagonal Gram blocks so diagonal
 controls slide through them.
@@ -62,6 +63,43 @@ def random_operator(rng, domain: ModuleSpace,
         for m, n in zip(codomain.dims, domain.dims)
     )
     return ModuleOperator(domain, codomain, blocks)
+
+
+def random_operator_rank_deficient(rng, space: ModuleSpace) -> ModuleOperator:
+    """One rank-deficient block per fiber, for inclusion tests."""
+    blocks = []
+    for n in space.dims:
+        r = max(1, n - 1)
+        a = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+        b = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+        blocks.append((a @ b) / np.sqrt(2.0))
+    return ModuleOperator(space, space, tuple(blocks))
+
+
+def random_operator_in_range(rng, t: ModuleOperator) -> ModuleOperator:
+    """t composed with a random factor, so ranges nest by construction."""
+    blocks = tuple(
+        b @ ((rng.standard_normal((b.shape[1], b.shape[1]))
+              + 1j * rng.standard_normal((b.shape[1], b.shape[1])))
+             / np.sqrt(2.0))
+        for b in t.blocks
+    )
+    return ModuleOperator(t.domain, t.codomain, blocks)
+
+
+def escape_operator(rng, t: ModuleOperator) -> ModuleOperator:
+    """Adds a rank-one piece orthogonal to each deficient range."""
+    blocks = []
+    for b in t.blocks:
+        u, s, _ = np.linalg.svd(b)
+        rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
+        if rank >= b.shape[0]:
+            blocks.append(b)
+            continue
+        w = u[:, -1]
+        v = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+        blocks.append(b + np.outer(w, v))
+    return ModuleOperator(t.domain, t.codomain, tuple(blocks))
 
 
 def scalar_glplus(rng, space: ModuleSpace, *, lo: float = 0.5,

@@ -19,17 +19,17 @@ from .algebra import AlgebraElement
 from .errors import (IntertwiningViolated, NotCommuting, NotGLPlus,
                      NotIncluded, NotInvertible, NotSurjective,
                      PreconditionUnverified, SpaceMismatch, ZeroOperator)
-from .frames import (STATUS_FRAME, ControlledFrameSystem, FrameCertificate,
-                     VerifyResult, certify, commutation_residual,
-                     frame_operator, verify_bounds, with_comparison,
-                     with_controls, with_family)
+from .frames import (_COMMUTE_RTOL, STATUS_FRAME, ControlledFrameSystem,
+                     FrameCertificate, VerifyResult, certify,
+                     commutation_residual, frame_operator, verify_bounds,
+                     with_comparison, with_controls, with_family)
 from .module_space import ModuleSpace, ModuleVector, inner_product
 from .operators import (ModuleOperator, adjoint_lower_bound, identity,
                         op_adjoint, op_classify, op_compose, op_inverse,
                         op_norm, op_sqrt)
 from .spectral import pinv
+from .testing import random_vector
 
-_COMMUTE_RTOL = 1e-10
 _IDENT_RTOL = 1e-10
 _SURJ_TOL = 1e-12
 
@@ -433,8 +433,8 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
     rng = np.random.default_rng(seed)
     ident_res = 0.0
     for _ in range(samples):
-        x = _random_vector(sys.space, rng)
-        y = _random_vector(sys.space, rng)
+        x = random_vector(rng, sys.space)
+        y = random_vector(rng, sys.space)
         lhs = inner_product(s_tgt(theta_apply(hom, x)), theta_apply(hom, y))
         rhs = phi_element(hom, inner_product(s_src(x), y))
         scale = max(1.0, float(np.max(np.abs(rhs.values))))
@@ -460,14 +460,6 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
         },
     )
     return new_sys, report
-
-
-def _random_vector(space: ModuleSpace, rng) -> ModuleVector:
-    parts = tuple(
-        (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        for n in space.dims
-    )
-    return ModuleVector(space, parts)
 
 
 # -- range inclusion transfer and the invertibility witness --------------

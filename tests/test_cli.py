@@ -36,6 +36,41 @@ def weighted_doc():
     }
 
 
+def diag_json(*vals):
+    return [[v if i == j else 0.0 for j in range(len(vals))]
+            for i, v in enumerate(vals)]
+
+
+def task_doc():
+    """Diagonal controls, a diagonal q, and a hom that swaps the fibers.
+
+    Phi = C T*T C' + C C' is diag(4, 15) on fiber 0 and 20 on fiber 1,
+    and K is the identity, so the optimal bounds are lower (2, sqrt 20)
+    and upper (sqrt 15, sqrt 20).
+    """
+    return {
+        "algebra": {"d": 2, "eps_pos": 1e-10, "eps_nz": 1e-8},
+        "space": {"fibers": [{"dim": 2}, {"dim": 1}]},
+        "operators": {
+            "T": [diag_json(1.0, 2.0), diag_json(3.0)],
+            "C": [diag_json(2.0, 1.0), diag_json(2.0)],
+            "Cp": [diag_json(1.0, 3.0), diag_json(1.0)],
+            "Q": [diag_json(2.0, 0.5), diag_json(1.5)],
+            "I": [eye_json(2), eye_json(1)],
+        },
+        "frame": {"family": ["T", "I"], "control": "C",
+                  "control_prime": "Cp", "comparison": "I"},
+        "task": {
+            "q": "Q", "u": "Q", "t": "I", "tprime": "Q",
+            "hom": {
+                "char_map": [1, 0],
+                "theta": [eye_json(1), eye_json(2)],
+                "target_space": {"fibers": [{"dim": 1}, {"dim": 2}]},
+            },
+        },
+    }
+
+
 def write_doc(tmp_path, doc, name="sys.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -287,6 +322,133 @@ def test_douglas_inclusion_reports_factor(tmp_path, capsys):
     assert out["result"]["scale"] == pytest.approx(9.0, rel=1e-9)
 
 
+SQRT15, SQRT20 = np.sqrt(15.0), np.sqrt(20.0)
+
+
+def real_parts(pairs):
+    return [re for re, _ in pairs]
+
+
+def test_bounds_reports_optimal_bounds(tmp_path, capsys):
+    code, out = run_json(capsys, ["bounds", write_doc(tmp_path, task_doc())])
+    assert code == 0
+    assert out["command"] == "bounds"
+    assert out["config"]["samples"] == 1000
+    res = out["result"]
+    assert set(res) == {"status", "lower", "upper", "tight",
+                        "vacuous_fibers"}
+    assert res["status"] == "frame"
+    assert res["tight"] is False
+    assert res["vacuous_fibers"] == []
+    assert real_parts(res["lower"]) == pytest.approx([2.0, SQRT20], rel=1e-12)
+    assert real_parts(res["upper"]) == pytest.approx([SQRT15, SQRT20],
+                                                     rel=1e-12)
+
+
+# q scales the upper bound by |q| = 2; invq brackets with |q^-1| = 2 as
+# well; range divides the lower bound by sqrt of the scale |Q|^2 = 4; hom
+# swaps the two characters.
+@pytest.mark.parametrize("kind, lower, upper, extra", [
+    ("q", [2.0, SQRT20], [2 * SQRT15, 2 * SQRT20],
+     {"q_norm": 2.0, "operator_identity_residual": 0.0}),
+    ("invq", [1.0, SQRT20 / 2], [2 * SQRT15, 2 * SQRT20],
+     {"q_norm": 2.0, "q_inverse_norm": 2.0, "transformed_status": "frame"}),
+    ("hom", [SQRT20, 2.0], [SQRT20, SQRT15],
+     {"bound_residual": 0.0, "transformed_status": "frame"}),
+    ("range", [1.0, SQRT20 / 2], [SQRT15, SQRT20],
+     {"majorization_scale": 4.0, "factorization_residual": 0.0}),
+])
+def test_transform_reports_derived_bounds(tmp_path, capsys, kind, lower,
+                                          upper, extra):
+    path = write_doc(tmp_path, task_doc())
+    code, out = run_json(capsys, ["transform", kind, path, "--samples", "50"])
+    assert code == 0
+    assert out["command"] == f"transform-{kind}"
+    assert out["config"] == {"seed": 0, "samples": 50, "eps_pos": 1e-10,
+                             "eps_nz": 1e-8}
+    res = out["result"]
+    assert res["verified"] is True
+    assert res["residual"] <= 1e-12
+    assert real_parts(res["lower"]) == pytest.approx(lower, rel=1e-12)
+    assert real_parts(res["upper"]) == pytest.approx(upper, rel=1e-12)
+    for key, val in extra.items():
+        assert res[key] == pytest.approx(val, rel=1e-12)
+
+
+def test_range_escape_exits_two(tmp_path, capsys):
+    doc = task_doc()
+    doc["operators"]["P"] = [diag_json(1.0, 0.0), diag_json(1.0)]
+    doc["frame"]["comparison"] = "P"
+    code, out = run_json(capsys, ["transform", "range",
+                                  write_doc(tmp_path, doc)])
+    assert code == 2
+    assert out["command"] == "transform-range"
+    assert out["result"]["status"] == "not_included"
+    assert out["result"]["residual"] > 1e-6
+
+
+def set_at(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+HOM = ("task", "hom")
+TARGET = HOM + ("target_space", "fibers")
+
+
+@pytest.mark.parametrize("command, path, value, field", [
+    pytest.param(["transform", "hom"], HOM + ("char_map",), [],
+                 r"task\.hom\.char_map", id="empty-char-map"),
+    pytest.param(["transform", "hom"], TARGET, [{"dim": 1}],
+                 r"task\.hom\.target_space\.fibers: need exactly 2 fibers",
+                 id="short-target-space"),
+    pytest.param(["transform", "hom"], HOM + ("char_map",), [5, 0],
+                 r"task\.hom\.char_map", id="char-map-out-of-range"),
+    pytest.param(["transform", "hom"], HOM + ("theta", 0), [[1.0, 0.0]],
+                 r"task\.hom\.theta\[0\]: expected shape \(1, 1\)",
+                 id="theta-shape"),
+    pytest.param(["transform", "hom"], TARGET + (1, "dim"), "2",
+                 r"task\.hom\.target_space\.fibers\[1\]\.dim",
+                 id="string-target-dim"),
+    pytest.param(["transform", "hom"], TARGET + (0, "dim"), True,
+                 r"task\.hom\.target_space\.fibers\[0\]\.dim",
+                 id="bool-target-dim"),
+    pytest.param(["transform", "hom"], HOM + ("char_map",), [True, 0],
+                 r"task\.hom\.char_map", id="bool-char-map"),
+    pytest.param(["certify"], ("space", "fibers", 1, "dim"), True,
+                 r"space\.fibers\[1\]\.dim", id="bool-dim"),
+    pytest.param(["certify"], ("algebra", "d"), True, r"algebra\.d",
+                 id="bool-d-certify"),
+    pytest.param(["bounds"], ("algebra", "d"), True, r"algebra\.d",
+                 id="bool-d-bounds"),
+    pytest.param(["frame-operator"], ("algebra", "d"), True, r"algebra\.d",
+                 id="bool-d-frame-operator"),
+])
+def test_bad_input_is_a_json_error(tmp_path, capsys, command, path, value,
+                                   field):
+    doc = task_doc()
+    set_at(doc, path, value)
+    code, out = run_json(capsys, command + [write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+    assert re.match(field, out["error"]["message"])
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", golden("identity_system.json")],
+    ["transform", "q", golden("identity_system.json")],
+    ["example"],
+    ["selftest"],
+])
+def test_negative_samples_is_a_usage_error(capsys, command):
+    assert run(command + ["--samples", "-5"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
 @pytest.mark.parametrize("alpha, beta", [
     ("1e200", "1e200"), ("inf", "1.0"), ("1.0", "inf"),
 ])
@@ -342,6 +504,14 @@ def test_explicit_tolerance_beats_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CFRAME_TOLERANCE", "1e-6")
     code, out = run_json(capsys, ["certify", path])
     assert out["config"]["eps_pos"] == 1e-10
+
+
+def test_explicit_tolerance_ignores_bad_env(capsys, monkeypatch):
+    monkeypatch.setenv("CFRAME_TOLERANCE", "abc")
+    code = run(["certify", golden("identity_system.json")])
+    assert code == 0
+    with open(golden("identity_certify.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_bad_env_tolerance_is_an_error(tmp_path, capsys, monkeypatch):

@@ -147,7 +147,7 @@ def test_bad_parameters():
     with pytest.raises(BadParameters):
         build_example(5, 1.0, -2.0)
     for alpha, beta in ((float("inf"), 1.0), (1.0, float("inf")),
-                        (1e200, 1e200)):
+                        (1e200, 1e200), (10 ** 400, 1.0)):
         with pytest.raises(BadParameters, match="finite"):
             build_example(5, alpha, beta)
 
