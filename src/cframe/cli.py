@@ -237,8 +237,12 @@ def description_from_dict(doc: dict) -> SystemDescription:
 
     space = _parse_space(doc.get("space"), algebra, "space")
 
+    ops_doc = doc.get("operators") or {}
+    if not isinstance(ops_doc, dict):
+        raise ValidationError("operators: expected an object of named "
+                              "operators")
     ops: dict[str, ModuleOperator] = {}
-    for name, blocks in (doc.get("operators") or {}).items():
+    for name, blocks in ops_doc.items():
         if not isinstance(blocks, list) or len(blocks) != d:
             raise ValidationError(
                 f"operators.{name}: need one block per fiber ({d})"
@@ -531,11 +535,6 @@ def _cmd_transform(args) -> int:
 
 def _cmd_example(args) -> int:
     es = build_example(args.n, args.alpha, args.beta)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(min(args.samples, 200)):
-        x = random_vector(rng, es.space)
-        worst = max(worst, example_sum_identity(es, x).residual)
     ec = example_certificate(es, samples=min(args.samples, 200),
                              seed=args.seed)
     _report("example", args, es.space.algebra, {
@@ -543,7 +542,7 @@ def _cmd_example(args) -> int:
         "alpha": es.alpha,
         "beta": es.beta,
         "family_size": len(es.family),
-        "identity_residual": worst,
+        "identity_residual": ec.identity_residual,
         "status": ec.certificate.status,
         "tight": ec.certificate.tight,
         "fitted_lower": ec.fitted_lower,
@@ -660,7 +659,7 @@ def _cmd_selftest(args) -> int:
 
 # -- argument parsing ----------------------------------------------------
 
-def _sample_count(text: str) -> int:
+def _non_negative(text: str) -> int:
     try:
         if int(text) >= 0:
             return int(text)
@@ -681,8 +680,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_sample_count, default=1000)
+        p.add_argument("--seed", type=_non_negative, default=0)
+        p.add_argument("--samples", type=_non_negative, default=1000)
         p.add_argument("--human", action="store_true")
 
     p = sub.add_parser("certify", help="two-sided bound certificate")

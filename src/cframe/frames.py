@@ -47,7 +47,8 @@ from .errors import (LengthMismatch, NotCommuting, NotFinite, NotGLPlus,
 from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
                         op_adjoint, op_classify, op_compose, op_norm, op_sqrt)
-from .spectral import hermitian_part, pencil_extremes, restricted_pencil_min
+from .spectral import (fiberwise_pencil_eigvals, hermitian_part,
+                       restricted_pencil_min, size_groups)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -113,10 +114,7 @@ class _FiberStacks:
     """
 
     def __init__(self, space: ModuleSpace):
-        groups: dict[int, list[int]] = {}
-        for j, n in enumerate(space.dims):
-            groups.setdefault(n, []).append(j)
-        self.groups = list(groups.values())
+        self.groups = size_groups(space.weights)
         d = range(len(space.dims))
         self.weight = self.stack(space.weights)
         self.weight_inv = self.stack([space.weight_inv(j) for j in d])
@@ -241,6 +239,15 @@ class FiberForms:
     phi: tuple[np.ndarray, ...]
     gamma: tuple[np.ndarray, ...]
 
+    @cached_property
+    def phi_spectrum(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues of the pencil (phi_j, W_j) per fiber, ascending.
+
+        Solved on first use, one stacked solve per fiber dimension;
+        both optimal bounds read it.
+        """
+        return fiberwise_pencil_eigvals(self.phi, self.weight)
+
 
 def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
     """Sum over the family of M^H W M at fiber j."""
@@ -362,11 +369,8 @@ def optimal_upper_bound(sys: ControlledFrameSystem) -> AlgebraElement:
     Coordinate j is the square root of the largest eigenvalue of the
     pencil (frame form, weight) at fiber j, floored at zero.
     """
-    forms = sys.forms
-    vals = []
-    for phi, w in zip(forms.phi, forms.weight):
-        ext = pencil_extremes(phi, w)
-        vals.append(np.sqrt(max(ext.lambda_max, 0.0)))
+    vals = [np.sqrt(max(float(lam[-1]), 0.0))
+            for lam in sys.forms.phi_spectrum]
     return AlgebraElement(sys.space.algebra,
                           np.array(vals, dtype=np.complex128))
 
@@ -389,10 +393,9 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
     infima: list[float] = []
     vacuous: list[int] = []
     failed: list[int] = []
-    for j in range(d):
+    for j, lam in enumerate(forms.phi_spectrum):
         phi = forms.phi[j]
-        ext = pencil_extremes(phi, forms.weight[j])
-        if ext.lambda_min < -_SKEW_RTOL * max(1.0, abs(ext.lambda_max)):
+        if lam[0] < -_SKEW_RTOL * max(1.0, abs(float(lam[-1]))):
             # Frame form dips negative: no positive element fits below it.
             infima.append(0.0)
             failed.append(j)
@@ -472,8 +475,9 @@ def _violations(sys: ControlledFrameSystem, low_sq: np.ndarray,
         imag = np.abs(mid.imag) / ref
         lv = np.maximum((low - mid.real) / ref, imag)
         uv = np.maximum((mid.real - up) / ref, imag)
-        worst_lower = max(worst_lower, float(lv.max()))
-        worst_upper = max(worst_upper, float(uv.max()))
+        # An empty batch (samples=0) leaves both at -inf.
+        worst_lower = max(worst_lower, float(lv.max(initial=-np.inf)))
+        worst_upper = max(worst_upper, float(uv.max(initial=-np.inf)))
         np.maximum(per_sample, np.maximum(lv, uv), out=per_sample)
     return worst_lower, worst_upper, per_sample
 
@@ -590,7 +594,9 @@ def verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
 
     The residual is the worst relative violation found; a negative-free
     batch verifies within tol.  The worst offending sample is returned
-    as a witness when any violation exceeds tol.
+    as a witness when any violation exceeds tol.  With samples=0 nothing
+    is sampled: the residual is 0.0 and there is no witness, as in
+    certify.
     """
     rng = np.random.default_rng(seed) if rng is None else rng
     batches = _sample_parts(sys.space, samples, rng)
@@ -621,13 +627,11 @@ class ReconstructionResult:
 
 
 def _operator_spectrum(sys: ControlledFrameSystem, s: ModuleOperator):
-    lo, hi = np.inf, -np.inf
-    for j in range(len(sys.space.dims)):
-        w = sys.space.weights[j]
-        ext = pencil_extremes(hermitian_part(w @ s.blocks[j]), w)
-        lo = min(lo, ext.lambda_min)
-        hi = max(hi, ext.lambda_max)
-    return float(lo), float(hi)
+    ws = sys.space.weights
+    spectra = fiberwise_pencil_eigvals(
+        [hermitian_part(w @ b) for w, b in zip(ws, s.blocks)], ws)
+    return (min(float(lam[0]) for lam in spectra),
+            max(float(lam[-1]) for lam in spectra))
 
 
 def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,

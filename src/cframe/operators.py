@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector
-from .spectral import hermitian_part
+from .spectral import fiberwise_pencil_eigvals, hermitian_part
 
 _CLASSIFY_TOL = 1e-10
 _SINGULAR_RTOL = 1e-12
@@ -234,11 +233,6 @@ def adjoint_lower_bound(t: ModuleOperator) -> float:
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("adjoint lower bound needs an endomorphism")
-    worst = np.inf
-    for j in range(len(t.blocks)):
-        gram = adjoint_gram_matrix(t, j)
-        lam = scipy.linalg.eigh(
-            gram, t.codomain.weights[j], eigvals_only=True
-        )
-        worst = min(worst, float(lam[0]))
-    return max(float(worst), 0.0)
+    grams = [adjoint_gram_matrix(t, j) for j in range(len(t.blocks))]
+    spectra = fiberwise_pencil_eigvals(grams, t.codomain.weights)
+    return max(min(float(lam[0]) for lam in spectra), 0.0)

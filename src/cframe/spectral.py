@@ -3,9 +3,13 @@
 Everything bound-shaped in this package reduces to extremal eigenvalues
 of a pencil (P, G): two-sided bounds use a definite G, the lower frame
 bound against a possibly singular comparison form uses the restricted
-variant.  scipy's generalized Hermitian solver does the heavy lifting;
-this module owns the validation, the kernel bookkeeping, and the exact
-semantics of the restricted infimum.
+variant.  Definite pencils are solved with numpy alone by the Cholesky
+reduction G = L L^H: the eigenvalues of (P, G) are those of the
+Hermitian L^-1 P L^-H, and an eigenvector y of it maps back to L^-H y
+(Golub and Van Loan, Matrix Computations, section 8.7).  numpy's
+cholesky, solve and eigh broadcast over (m, n, n) stacks, so fibers of
+one dimension share one call.  This module owns the validation, the
+kernel bookkeeping, and the exact semantics of the restricted infimum.
 """
 
 from __future__ import annotations
@@ -13,27 +17,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotDefinite, NotHermitian, NotPSD
 
 _CHECK_RTOL = 1e-10
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adjoint(m))
 
 
-def _as_matrix(m, name: str) -> np.ndarray:
+def _as_matrix(m, name: str, *, stacked: bool = False) -> np.ndarray:
     arr = np.array(m, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    ndims = (2, 3) if stacked else (2,)
+    if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix"
+                         + (" or a stack of them" if stacked else ""))
     return arr
 
 
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix in a stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
 def _require_hermitian(m: np.ndarray, name: str, tol: float) -> np.ndarray:
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > tol * scale:
+    scale = np.maximum(1.0, _norms(m))
+    if np.any(_norms(m - _adjoint(m)) > tol * scale):
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
     return hermitian_part(m)
 
@@ -49,6 +64,68 @@ class PencilResult:
     lambda_max: float
     vec_min: np.ndarray
     vec_max: np.ndarray
+
+
+def pencil_eigh(p, g, *, tol: float = _CHECK_RTOL, vectors: bool = False):
+    """All eigenvalues of P v = lambda G v, ascending, matrix by matrix.
+
+    p and g are one (n, n) matrix each or two (m, n, n) stacks; each
+    pair (p[i], g[i]) is its own pencil, and a stacked call returns
+    what the calls on the single pairs return, bit for bit.
+
+    Returns the eigenvalues, shape (n,) or (m, n).  With vectors set it
+    returns (eigenvalues, vectors), the vectors as the columns of each
+    (n, n) matrix, normalized so that v^H G v = 1.
+
+    Raises
+    ------
+    NotHermitian
+        If a matrix of p (or g) fails the symmetry check.
+    NotDefinite
+        If a matrix of g is not positive definite: its smallest
+        eigenvalue is at most tol times max(1, its Frobenius norm).
+    """
+    p = _require_hermitian(_as_matrix(p, "P", stacked=True), "P", tol)
+    g = _require_hermitian(_as_matrix(g, "G", stacked=True), "G", tol)
+    if p.shape != g.shape:
+        raise ValueError("P and G must have the same shape")
+    gscale = np.maximum(1.0, _norms(g))
+    if np.any(np.linalg.eigvalsh(g)[..., 0] <= tol * gscale):
+        raise NotDefinite("G is not positive definite")
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise NotDefinite("G is not positive definite") from exc
+    half = np.linalg.solve(chol, p)
+    reduced = hermitian_part(np.linalg.solve(chol, _adjoint(half)))
+    if not vectors:
+        return np.linalg.eigvalsh(reduced)
+    lam, y = np.linalg.eigh(reduced)
+    return lam, np.linalg.solve(_adjoint(chol), y)
+
+
+def size_groups(mats) -> list[list[int]]:
+    """Indices of a sequence of square matrices grouped by their size."""
+    groups: dict[int, list[int]] = {}
+    for j, m in enumerate(mats):
+        groups.setdefault(m.shape[-1], []).append(j)
+    return list(groups.values())
+
+
+def fiberwise_pencil_eigvals(ps, gs, *,
+                             tol: float = _CHECK_RTOL) -> tuple[np.ndarray, ...]:
+    """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
+
+    The pairs are stacked by matrix size, so each size costs one call.
+    """
+    out: list = [None] * len(gs)
+    for idx in size_groups(gs):
+        lam = pencil_eigh(np.stack([ps[j] for j in idx]),
+                          np.stack([gs[j] for j in idx]), tol=tol)
+        lam.setflags(write=False)
+        for j, row in zip(idx, lam):
+            out[j] = row
+    return tuple(out)
 
 
 def pencil_extremes(p, g, *, tol: float = _CHECK_RTOL) -> PencilResult:
@@ -70,14 +147,8 @@ def pencil_extremes(p, g, *, tol: float = _CHECK_RTOL) -> PencilResult:
     NotDefinite
         If g is not positive definite.
     """
-    p = _require_hermitian(_as_matrix(p, "P"), "P", tol)
-    g = _require_hermitian(_as_matrix(g, "G"), "G", tol)
-    if p.shape != g.shape:
-        raise ValueError("P and G must have the same shape")
-    gscale = max(1.0, float(np.linalg.norm(g)))
-    if np.linalg.eigvalsh(g)[0] <= tol * gscale:
-        raise NotDefinite("G is not positive definite")
-    w, v = scipy.linalg.eigh(p, g)
+    w, v = pencil_eigh(_as_matrix(p, "P"), _as_matrix(g, "G"), tol=tol,
+                       vectors=True)
     return PencilResult(
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),

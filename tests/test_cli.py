@@ -449,6 +449,70 @@ def test_negative_samples_is_a_usage_error(capsys, command):
     assert "--samples" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", golden("identity_system.json")],
+    ["transform", "q", golden("identity_system.json")],
+    ["example"],
+    ["selftest"],
+])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    assert run(command + ["--seed", "-3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_selftest_without_samples_passes(capsys):
+    code, out = run_json(capsys, ["selftest", "--samples", "0"])
+    assert code == 0
+    assert out["result"]["all_pass"] is True
+    cases = {c["name"]: c for c in out["result"]["cases"]}
+    assert cases["random_frame_roundtrip"]["verify_residual"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["q", "range"])
+def test_transform_without_samples_verifies(tmp_path, capsys, kind):
+    # samples=0 checks nothing by sampling: residual 0.0, as certify has
+    path = write_doc(tmp_path, task_doc())
+    code, out = run_json(capsys, ["transform", kind, path, "--samples", "0"])
+    assert code == 0
+    assert out["result"]["verified"] is True
+    assert out["result"]["residual"] == 0.0
+
+
+def test_operators_list_is_a_json_error(tmp_path, capsys):
+    doc = task_doc()
+    doc["operators"] = [1]
+    code, out = run_json(capsys, ["certify", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+    assert out["error"]["message"].startswith("operators:")
+
+
+EXAMPLE_FIELDS = {
+    "n", "alpha", "beta", "family_size", "identity_residual", "status",
+    "tight", "fitted_lower", "nominal_lower", "nominal_matches",
+    "nominal_residual", "equality_residual", "bessel_min_slack", "upper",
+}
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--alpha", "2.5", "--beta", "0.7", "--seed", "3"],
+    ["--n", "40", "--samples", "7", "--seed", "9"], ["--samples", "0"],
+])
+def test_example_report_keeps_every_field(capsys, extra):
+    code, out = run_json(capsys, ["example"] + extra)
+    assert code == 0
+    res = out["result"]
+    assert set(res) == EXAMPLE_FIELDS
+    assert res["status"] == "frame"
+    assert res["tight"] is True
+    assert res["nominal_matches"] is False
+    assert 0.0 <= res["identity_residual"] <= 1e-12
+    if extra == ["--samples", "0"]:
+        assert res["identity_residual"] == 0.0
+
+
 @pytest.mark.parametrize("alpha, beta", [
     ("1e200", "1e200"), ("inf", "1.0"), ("1.0", "inf"),
 ])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,8 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     zero_operator)
 from cframe.errors import (NotCommuting, NotGLPlus, SingularFrameOperator,
                            SpaceMismatch)
-from cframe.frames import _COMMUTE_RTOL
+import cframe.spectral
+from cframe.frames import _COMMUTE_RTOL, _operator_spectrum
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
                             random_space, random_system, random_vector,
                             scalar_glplus, unitary_diag_family)
@@ -420,6 +422,19 @@ def test_verify_bounds_witness_on_violation():
     assert not rep.lower_ok
 
 
+def test_verify_bounds_without_samples():
+    # samples=0 samples nothing, as in certify: residual 0.0, no witness
+    rng = np.random.default_rng(19)
+    sysr = random_system(rng, d=2, dims=[2, 2], ops=3)
+    cert = certify(sysr, samples=0)
+    assert cert.lower_residual == 0.0 and cert.upper_residual == 0.0
+    for lower in (cert.lower, 2.0 * cert.lower):
+        res = verify_bounds(sysr, lower, cert.upper, samples=0)
+        assert res.verified
+        assert res.residual == 0.0
+        assert res.witness is None
+
+
 def test_check_at_wrong_space():
     sys1 = parseval_system()
     other = make_space(Algebra(2), [2, 2])
@@ -635,3 +650,60 @@ def test_derived_systems_build_their_own_forms():
                                        factor * np.eye(n))
     for j, n in enumerate(space.dims):
         np.testing.assert_array_equal(frame_form_matrix(base, j), np.eye(n))
+
+
+def scipy_pencil(p, g):
+    return scipy.linalg.eigh(p, g, eigvals_only=True)
+
+
+def test_bounds_solve_each_fiber_group_once(monkeypatch):
+    rng = np.random.default_rng(27)
+    sysr = random_system(rng, d=5, dims=[2, 3, 2, 1, 3], ops=3)
+    calls = []
+    solve = cframe.spectral.pencil_eigh
+
+    def counted(p, g, **kw):
+        calls.append(np.shape(p))
+        return solve(p, g, **kw)
+
+    monkeypatch.setattr(cframe.spectral, "pencil_eigh", counted)
+    optimal_upper_bound(sysr)
+    optimal_lower_bound(sysr)
+    certify(sysr)
+    # one eigenvalues-only solve per dimension, shared by both bounds
+    assert sorted(calls) == [(1, 1, 1), (2, 2, 2), (2, 3, 3)]
+    spectrum = sysr.forms.phi_spectrum
+    assert spectrum is sysr.forms.phi_spectrum
+    for lam in spectrum:
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [28, 29, 30])
+def test_optimal_bounds_match_scipy_pencils(seed):
+    rng = np.random.default_rng(seed)
+    sysr = random_system(rng, d=4, dims=[3, 1, 3, 4], ops=3,
+                         controls="scalar", weights="random",
+                         family="generic", comparison="diagonal")
+    upper = optimal_upper_bound(sysr)
+    low = optimal_lower_bound(sysr)
+    assert low.ok
+    for j in range(4):
+        phi = frame_form_matrix(sysr, j)
+        up = scipy_pencil(phi, sysr.space.weights[j])[-1]
+        lo = scipy_pencil(phi, comparison_form_matrix(sysr, j))[0]
+        assert abs(upper.values[j]) ** 2 == pytest.approx(up, rel=1e-10)
+        assert abs(low.element.values[j]) ** 2 == pytest.approx(lo,
+                                                                rel=1e-10)
+
+
+def test_operator_spectrum_matches_scipy_pencils():
+    rng = np.random.default_rng(31)
+    sysr = random_system(rng, d=3, dims=[2, 3, 2], ops=2, controls="scalar",
+                         weights="random", family="generic")
+    s = frame_operator(sysr)
+    lo, hi = _operator_spectrum(sysr, s)
+    want = [scipy_pencil(0.5 * (w @ b + (w @ b).conj().T), w)
+            for w, b in zip(sysr.space.weights, s.blocks)]
+    assert lo == pytest.approx(min(v[0] for v in want), rel=1e-10)
+    assert hi == pytest.approx(max(v[-1] for v in want), rel=1e-10)

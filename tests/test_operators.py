@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cframe import (Algebra, ModuleOperator, ModuleVector, adjoint_gram_matrix,
                     adjoint_lower_bound, identity, inner_product, make_space,
@@ -217,6 +218,21 @@ def test_adjoint_lower_bound_diagonal():
     assert worst >= 4.0 - 1e-9
     assert adjoint_lower_bound(t) == pytest.approx(4.0, abs=1e-10)
     assert worst <= 4.0 + 0.5  # sampling comes close from above
+
+
+def test_adjoint_lower_bound_matches_scipy_pencils():
+    # fibers of one dimension share one stacked numpy solve; scipy's
+    # generalized solver, fiber by fiber, is the oracle
+    rng = np.random.default_rng(10)
+    space = random_space(rng, Algebra(5), [3, 1, 3, 2, 1], weights="random")
+    for _ in range(5):
+        t = random_operator(rng, space)
+        want = min(
+            scipy.linalg.eigh(adjoint_gram_matrix(t, j), space.weights[j],
+                              eigvals_only=True)[0]
+            for j in range(5))
+        assert adjoint_lower_bound(t) == pytest.approx(max(want, 0.0),
+                                                       rel=1e-10, abs=1e-14)
 
 
 def test_adjoint_gram_matrix_flat_weights():

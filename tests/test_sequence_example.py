@@ -6,6 +6,10 @@ from cframe import (ModuleVector, build_example, as_system,
                     example_certificate, example_sum_identity,
                     family_form_element, frame_operator, inner_product)
 from cframe.errors import BadParameters
+from cframe.sequence_example import (closed_form_values,
+                                     comparison_form_values, draw_vectors,
+                                     family_form_values)
+from cframe.testing import random_vector
 
 ALPHA = 2.0
 BETA = 3.0
@@ -173,3 +177,83 @@ def test_as_system_flags_and_operator_identity():
         want = family_form_element(es, x)
         got = inner_product(s(x), x)
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+# -- the array-at-once evaluation --------------------------------------------
+
+@pytest.mark.parametrize("n, count", [(3, 1), (9, 5), (101, 40)])
+def test_batched_draw_equals_random_vector_calls(n, count):
+    es = build_example(n, ALPHA, BETA)
+    xs = draw_vectors(es, count, np.random.default_rng(n + count))
+    rng = np.random.default_rng(n + count)
+    assert xs.shape == (count, n)
+    for row in xs:
+        x = random_vector(rng, es.space)
+        assert np.array_equal(row, np.concatenate(x.parts))
+
+
+def test_batched_forms_equal_per_vector_elements():
+    es = build_example(31, ALPHA, BETA)
+    xs = draw_vectors(es, 60, np.random.default_rng(74))
+    batched = (family_form_values(es, xs), comparison_form_values(es, xs),
+               closed_form_values(es, xs))
+    single = (family_form_element, comparison_form_element,
+              closed_form_element)
+    for s, row in enumerate(xs):
+        x = vec(es, row)
+        for vals, element in zip(batched, single):
+            want = element(es, x).values
+            assert np.all(np.abs(vals[s] - want)
+                          <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7, 64])
+def test_certificate_identity_residual_over_its_draws(samples):
+    es = build_example(21, ALPHA, BETA)
+    ec = example_certificate(es, samples=samples, seed=5)
+    rng = np.random.default_rng(5)
+    want = 0.0
+    for _ in range(samples):
+        want = max(want, example_sum_identity(
+            es, random_vector(rng, es.space)).residual)
+    assert ec.identity_residual == pytest.approx(want, abs=1e-15)
+    if samples == 0:
+        assert ec.identity_residual == 0.0
+
+
+def per_vector_certificate_residuals(es, samples, seed):
+    """The certificate's sampled figures, one vector at a time."""
+    ab = es.alpha * es.beta
+    fitted = np.zeros(es.n_max)
+    nominal = np.zeros(es.n_max)
+    for n in es.sample_indices:
+        fitted[n - 1] = ab / n
+        nominal[n - 1] = ab / ((n - 1) // 2)
+    rng = np.random.default_rng(seed)
+    eq_res = nom_res = 0.0
+    slack = np.inf
+    for _ in range(max(samples, 1)):
+        x = random_vector(rng, es.space)
+        lhs = family_form_element(es, x).values
+        kf = comparison_form_element(es, x).values
+        xx = inner_product(x, x).values
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        eq_res = max(eq_res, float(np.max(np.abs(fitted * kf - lhs))) / scale)
+        nom_res = max(nom_res,
+                      float(np.max(np.abs(nominal * kf - lhs))) / scale)
+        slack = min(slack, float((ab * xx.real - lhs.real).min()) / scale)
+    return eq_res, nom_res, slack
+
+
+@pytest.mark.parametrize("n, alpha, beta, samples, seed", [
+    (101, 1.0, 1.0, 200, 0), (101, 2.5, 0.7, 200, 3), (40, 1.0, 1.0, 7, 9),
+    (101, 1.0, 1.0, 0, 0), (202, 1.7, 3.1, 200, 0),
+])
+def test_certificate_figures_match_per_vector_loop(n, alpha, beta, samples,
+                                                   seed):
+    es = build_example(n, alpha, beta)
+    ec = example_certificate(es, samples=samples, seed=seed)
+    got = (ec.equality_residual, ec.nominal_residual, ec.bessel_min_slack)
+    for g, want in zip(got, per_vector_certificate_residuals(es, samples,
+                                                             seed)):
+        assert abs(g - want) <= 1e-15 * max(1.0, abs(want))

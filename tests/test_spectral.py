@@ -1,9 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
+from cframe.spectral import fiberwise_pencil_eigvals, pencil_eigh
+from cframe.testing import random_hpd
 
 # Frozen outputs of oracle_sup_psd below for the seeded 3x3 case.  The
 # naive compression value is kept to show the kernel coupling matters.
@@ -133,6 +139,106 @@ def test_pencil_rejects_bad_inputs():
         pencil_extremes(np.eye(2), np.diag([1.0, 0.0]))
     with pytest.raises(NotDefinite):
         pencil_extremes(np.eye(2), np.diag([1.0, -1.0]))
+
+
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return hermitian_part(a)
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [64])
+def test_pencil_eigh_matches_scipy(n):
+    # scipy's generalized solver stays the oracle for the numpy reduction
+    rng = np.random.default_rng(500 + n)
+    for _ in range(3):
+        p = random_hermitian(rng, n)
+        g = random_hpd(rng, n, cond=100.0)
+        want = scipy.linalg.eigh(p, g, eigvals_only=True)
+        got = pencil_eigh(p, g)
+        scale = np.abs(want).max()
+        assert np.all(np.abs(got - want) <= 1e-10 * scale)
+        lam, vec = pencil_eigh(p, g, vectors=True)
+        assert np.all(np.abs(lam - want) <= 1e-10 * scale)
+        np.testing.assert_allclose(vec.conj().T @ g @ vec, np.eye(n),
+                                   atol=1e-10)
+        np.testing.assert_allclose(p @ vec, (g @ vec) * lam,
+                                   atol=1e-9 * scale)
+
+
+def test_pencil_eigh_stack_equals_single_calls_bitwise():
+    rng = np.random.default_rng(510)
+    ps = np.stack([random_hermitian(rng, 5) for _ in range(6)])
+    gs = np.stack([random_hpd(rng, 5) for _ in range(6)])
+    lam = pencil_eigh(ps, gs)
+    lam_v, vec = pencil_eigh(ps, gs, vectors=True)
+    assert lam.shape == (6, 5) and vec.shape == (6, 5, 5)
+    for i in range(6):
+        assert np.array_equal(lam[i], pencil_eigh(ps[i], gs[i]))
+        one_lam, one_vec = pencil_eigh(ps[i], gs[i], vectors=True)
+        assert np.array_equal(lam_v[i], one_lam)
+        assert np.array_equal(vec[i], one_vec)
+        ext = pencil_extremes(ps[i], gs[i])
+        assert ext.lambda_min == lam_v[i, 0]
+        assert ext.lambda_max == lam_v[i, -1]
+        assert np.array_equal(ext.vec_min, vec[i, :, 0])
+
+
+def test_fiberwise_eigvals_group_by_size_bitwise():
+    rng = np.random.default_rng(511)
+    dims = [3, 1, 3, 2, 1, 3]
+    ps = [random_hermitian(rng, n) for n in dims]
+    gs = [random_hpd(rng, n) for n in dims]
+    got = fiberwise_pencil_eigvals(ps, gs)
+    assert len(got) == len(dims)
+    for p, g, lam in zip(ps, gs, got):
+        assert np.array_equal(lam, pencil_eigh(p, g))
+        assert not lam.flags.writeable
+
+
+BAD_PENCILS = [
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2),
+                 NotHermitian, id="skew-p"),
+    pytest.param(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                 NotHermitian, id="skew-g"),
+    pytest.param(np.eye(2), np.diag([1.0, 0.0]), NotDefinite,
+                 id="singular-g"),
+    pytest.param(np.eye(2), np.diag([1.0, -1.0]), NotDefinite,
+                 id="indefinite-g"),
+    pytest.param(np.eye(2), np.diag([1.0, 1e-11]), NotDefinite,
+                 id="nearly-singular-g"),
+]
+
+
+@pytest.mark.parametrize("p, g, error", BAD_PENCILS)
+def test_stacked_pencil_raises_as_pencil_extremes(p, g, error):
+    with pytest.raises(error):
+        pencil_extremes(p, g)
+    # the bad pair sits among good ones; any position fails the stack
+    rng = np.random.default_rng(512)
+    good_p = [random_hermitian(rng, 2) for _ in range(3)]
+    good_g = [random_hpd(rng, 2) for _ in range(3)]
+    pencil_eigh(np.stack(good_p), np.stack(good_g))
+    for at in range(4):
+        ps = np.stack(good_p[:at] + [p] + good_p[at:])
+        gs = np.stack(good_g[:at] + [g] + good_g[at:])
+        with pytest.raises(error):
+            pencil_eigh(ps, gs)
+        with pytest.raises(error):
+            pencil_eigh(ps, gs, vectors=True)
+
+
+def test_pencil_eigh_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        pencil_eigh(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError):
+        pencil_eigh(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        pencil_extremes(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2))
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import cframe.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_restricted_min_definite_case():
