@@ -34,6 +34,8 @@ from .module_space import ModuleSpace, ModuleVector, make_space
 from .operators import ModuleOperator, scalar_operator
 
 _EQ_RTOL = 1e-12
+# Array elements per chunk of sampled vectors in example_certificate.
+_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +212,8 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
 
     The fitted scaling per sampled fiber is the ratio of the family sum
     to the comparison form; it is independent of the vector, which the
-    sampling re-checks on max(samples, 1) vectors drawn from seed.  The
+    sampling re-checks on max(samples, 1) vectors drawn from seed, a
+    bounded number of rows at a time whatever samples is.  The
     nominal sqrt(alpha beta)/sqrt(k) scaling is evaluated against the
     same equality and flagged when it fails.  Fibers the comparison
     form never touches carry the largest fitted value and are listed as
@@ -231,21 +234,30 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
     for j in vacuous:
         lower_vals[j] = fill
 
-    xs = draw_vectors(es, max(samples, 1), np.random.default_rng(seed))
-    lhs = family_form_values(es, xs)
-    kf = comparison_form_values(es, xs)
-    # <x, x> per fiber: x^H W x, as inner_product takes it.
     weights = es._terms[-1]
-    xx = xs.conj() * (weights * xs)
-    ident_res = float(_row_gaps(lhs, closed_form_values(es, xs))[:samples]
-                      .max(initial=0.0))
-    scale = np.maximum(1.0, np.abs(lhs).max(axis=1))
-    eq_res = float((np.abs(np.abs(fitted) ** 2 * kf - lhs).max(axis=1)
-                    / scale).max(initial=0.0))
-    nom_res = float((np.abs(np.abs(nominal) ** 2 * kf - lhs).max(axis=1)
-                     / scale).max(initial=0.0))
-    slack = ab * xx.real - lhs.real
-    bessel_slack = float((slack.min(axis=1) / scale).min(initial=np.inf))
+    rng = np.random.default_rng(seed)
+    total = max(samples, 1)
+    step = max(1, _CHUNK_ELEMS // es.n_max)
+    ident_res = eq_res = nom_res = 0.0
+    bessel_slack = np.inf
+    # Consecutive draws continue one stream, so the chunks see the same
+    # vectors as one draw of all of them.
+    for start in range(0, total, step):
+        xs = draw_vectors(es, min(step, total - start), rng)
+        lhs = family_form_values(es, xs)
+        kf = comparison_form_values(es, xs)
+        # <x, x> per fiber: x^H W x, as inner_product takes it.
+        xx = xs.conj() * (weights * xs)
+        ident = _row_gaps(lhs, closed_form_values(es, xs))[:samples - start]
+        ident_res = max(ident_res, float(ident.max(initial=0.0)))
+        eq_res = max(eq_res, float(
+            _row_gaps(np.abs(fitted) ** 2 * kf, lhs).max()))
+        nom_res = max(nom_res, float(
+            _row_gaps(np.abs(nominal) ** 2 * kf, lhs).max()))
+        scale = np.maximum(1.0, np.abs(lhs).max(axis=1))
+        slack = ab * xx.real - lhs.real
+        bessel_slack = min(bessel_slack,
+                           float((slack.min(axis=1) / scale).min()))
 
     alg = es.space.algebra
     fitted_el = AlgebraElement(alg, fitted)

@@ -112,8 +112,7 @@ def size_groups(mats) -> list[list[int]]:
     return list(groups.values())
 
 
-def fiberwise_pencil_eigvals(ps, gs, *,
-                             tol: float = _CHECK_RTOL) -> tuple[np.ndarray, ...]:
+def fiberwise_pencil_eigvals(ps, gs) -> tuple[np.ndarray, ...]:
     """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
 
     The pairs are stacked by matrix size, so each size costs one call.
@@ -121,7 +120,7 @@ def fiberwise_pencil_eigvals(ps, gs, *,
     out: list = [None] * len(gs)
     for idx in size_groups(gs):
         lam = pencil_eigh(np.stack([ps[j] for j in idx]),
-                          np.stack([gs[j] for j in idx]), tol=tol)
+                          np.stack([gs[j] for j in idx]))
         lam.setflags(write=False)
         for j, row in zip(idx, lam):
             out[j] = row

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import scipy.linalg
 
-import cframe
 from cframe import (FrameCertificate, ModuleOperator, ModuleVector,
                     STATUS_FRAME, adjoint_gram_matrix, adjoint_lower_bound,
                     build_example, certify, check_at, comparison_form_matrix,
@@ -345,25 +344,21 @@ def test_criterion_10_lemma_suite():
            f"inequality residual {worst:.2e}, {agree}/200 equivalences")
 
 
-def run_cli(argv):
-    # The child imports the same cframe as this process, installed or not.
-    src = os.path.dirname(os.path.dirname(cframe.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def run_cli(argv, env):
     proc = subprocess.run([sys.executable, "-m", "cframe.cli", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 
-def test_criterion_11_cli_determinism():
-    code1, out1 = run_cli(["selftest", "--seed", "0"])
-    code2, out2 = run_cli(["selftest", "--seed", "0"])
+def test_criterion_11_cli_determinism(child_env):
+    code1, out1 = run_cli(["selftest", "--seed", "0"], child_env)
+    code2, out2 = run_cli(["selftest", "--seed", "0"], child_env)
     identical = code1 == code2 == 0 and out1 == out2
     doc = json.loads(out1)
     all_pass = doc["result"]["all_pass"] is True
     code3, out3 = run_cli(
-        ["certify", os.path.join(GOLDEN_DIR, "identity_system.json")])
+        ["certify", os.path.join(GOLDEN_DIR, "identity_system.json")],
+        child_env)
     with open(os.path.join(GOLDEN_DIR, "identity_certify.json")) as fh:
         golden_doc = json.load(fh)
     golden_match = code3 == 0 and json.loads(out3) == golden_doc

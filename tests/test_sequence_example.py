@@ -5,6 +5,7 @@ from cframe import (ModuleVector, build_example, as_system,
                     closed_form_element, comparison_form_element,
                     example_certificate, example_sum_identity,
                     family_form_element, frame_operator, inner_product)
+from cframe import sequence_example
 from cframe.errors import BadParameters
 from cframe.sequence_example import (closed_form_values,
                                      comparison_form_values, draw_vectors,
@@ -257,3 +258,15 @@ def test_certificate_figures_match_per_vector_loop(n, alpha, beta, samples,
     for g, want in zip(got, per_vector_certificate_residuals(es, samples,
                                                              seed)):
         assert abs(g - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n, samples", [(41, 100), (41, 0), (1001, 300)])
+def test_certificate_chunks_equal_one_draw(monkeypatch, n, samples):
+    es = build_example(n, 1.7, 3.1)
+    whole = example_certificate(es, samples=samples, seed=6)
+    # a few rows per chunk, the last chunk short
+    monkeypatch.setattr(sequence_example, "_CHUNK_ELEMS", 3 * n)
+    chunked = example_certificate(es, samples=samples, seed=6)
+    for field in ("identity_residual", "equality_residual",
+                  "nominal_residual", "bessel_min_slack"):
+        assert getattr(chunked, field) == getattr(whole, field)

@@ -236,9 +236,9 @@ def test_pencil_eigh_rejects_bad_shapes():
         pencil_extremes(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2))
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(child_env):
     code = "import cframe.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
 
 def test_restricted_min_definite_case():
