@@ -16,7 +16,7 @@ from .frames import (STATUS_BESSEL, STATUS_FRAME, STATUS_NOT_FRAME,
                      ReconstructionResult, VerifyResult, analysis, certify,
                      check_at, commutation_residual, comparison_form_matrix,
                      family_gram_matrix, frame_form_matrix, frame_operator,
-                     frame_system, gram_matrix, optimal_lower_bound,
+                     frame_system, optimal_lower_bound,
                      optimal_upper_bound, reconstruct, synthesis,
                      verify_bounds, with_comparison, with_controls,
                      with_family)

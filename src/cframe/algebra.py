@@ -18,6 +18,7 @@ from .errors import NotPositive, SpaceMismatch
 
 DEFAULT_EPS_POS = 1e-10
 DEFAULT_EPS_NZ = 1e-8
+_ALLCLOSE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,13 @@ class AlgebraElement:
     def __neg__(self):
         return AlgebraElement(self.algebra, -self.values)
 
-    def allclose(self, other: AlgebraElement, tol: float = 1e-12) -> bool:
+    def allclose(self, other: AlgebraElement) -> bool:
         if other.algebra != self.algebra:
             raise SpaceMismatch("elements belong to different algebras")
         scale = max(1.0, float(np.max(np.abs(self.values))),
                     float(np.max(np.abs(other.values))))
-        return bool(np.max(np.abs(self.values - other.values)) <= tol * scale)
+        return bool(np.max(np.abs(self.values - other.values))
+                    <= _ALLCLOSE_RTOL * scale)
 
 
 def alg_abs(a: AlgebraElement) -> AlgebraElement:

@@ -27,9 +27,9 @@ the blocks of T_i one member at a time.  Each commutator x y - y x
 costs one stacked matmul pair per group, and a group whose commutator
 is exactly zero adds nothing without an SVD.  Only a nonzero numerator
 takes the stacked SVD of W^(1/2) D W^(-1/2), and only then are the two
-operand norms taken, each at most once.  The result equals
-commutation_residual taken one by one, bit for bit; identity and
-scalar controls run no SVD at all.  A product that overflows raises
+operand norms taken, each at most once.  commutation_residual runs the
+same residual on one pair, for the transform preconditions; identity
+and scalar controls run no SVD at all.  A product that overflows raises
 NotFinite naming the operator, so no SVD sees a non-finite stack.
 """
 
@@ -46,7 +46,7 @@ from .errors import (LengthMismatch, NotCommuting, NotFinite, NotGLPlus,
                      SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
-                        op_adjoint, op_classify, op_compose, op_norm, op_sqrt)
+                        op_adjoint, op_classify, op_compose, op_sqrt)
 from .spectral import (fiberwise_pencil_eigvals, hermitian_part,
                        restricted_pencil_min, size_groups)
 
@@ -57,17 +57,8 @@ STATUS_NOT_FRAME = "not_frame"
 _COMMUTE_RTOL = 1e-10
 _TIGHT_RTOL = 1e-8
 _SKEW_RTOL = 1e-8
-
-
-def commutation_residual(x: ModuleOperator, y: ModuleOperator, *,
-                         norms: tuple[float, float] | None = None) -> float:
-    """Relative size of the commutator x y - y x.
-
-    norms, when given, are op_norm(x) and op_norm(y) already taken.
-    """
-    nx, ny = (op_norm(x), op_norm(y)) if norms is None else norms
-    num = op_norm(op_compose(x, y) - op_compose(y, x))
-    return num / max(nx * ny, 1e-300)
+_VERIFY_TOL = 1e-9
+_RECONSTRUCT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,7 +133,7 @@ class _FiberStacks:
         return float(np.linalg.svd(m, compute_uv=False).max())
 
     def residual(self, x: _Operand, y: _Operand) -> float:
-        """commutation_residual of x and y, commutator first.
+        """|x y - y x| / (|x| |y|), the commutator taken first.
 
         A group whose commutator is exactly zero adds 0 without an SVD,
         and the operand norms are taken only for a nonzero numerator.
@@ -156,6 +147,22 @@ class _FiberStacks:
         if num == 0.0:
             return 0.0
         return num / max(x.norm * y.norm, 1e-300)
+
+
+def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
+    """Relative size |x y - y x| / (|x| |y|) of the commutator.
+
+    The stacked residual the system flags run.  Raises SpaceMismatch
+    unless x and y are endomorphisms of one space, and NotFinite when a
+    product overflows.
+    """
+    space = x.domain
+    if not x.codomain == y.domain == y.codomain == space:
+        raise SpaceMismatch("commutation needs endomorphisms of one space")
+    fibers = _FiberStacks(space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fibers.residual(fibers.operand("x", x.blocks),
+                               fibers.operand("y", y.blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +295,6 @@ def frame_form_matrix(sys: ControlledFrameSystem, j: int, *,
 def comparison_form_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
     """Form matrix of x -> <K* x, K* x> at fiber j (read-only)."""
     return sys.forms.gamma[j]
-
-
-def gram_matrix(space: ModuleSpace, j: int) -> np.ndarray:
-    """Form matrix of x -> <x, x> at fiber j, the weight itself."""
-    return space.weights[j]
 
 
 # -- frame operator and the analysis pair --------------------------------
@@ -439,7 +441,8 @@ class FrameCertificate:
     vacuous: tuple[int, ...]
 
 
-def _sample_parts(space: ModuleSpace, count: int, rng) -> list[np.ndarray]:
+def _sample_parts(space: ModuleSpace, count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
     parts = []
     for n in space.dims:
         parts.append(
@@ -483,7 +486,7 @@ def _violations(sys: ControlledFrameSystem, low_sq: np.ndarray,
 
 
 def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
-            seed: int = 0, rng=None) -> FrameCertificate:
+            seed: int = 0) -> FrameCertificate:
     """Compute optimal bounds, overall status, and sampled residuals.
 
     Status is `frame` when both recomputed bounds are strictly nonzero
@@ -525,8 +528,7 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
     lower_res = 0.0
     upper_res = 0.0
     if samples > 0:
-        rng = np.random.default_rng(seed) if rng is None else rng
-        batches = _sample_parts(sys.space, samples, rng)
+        batches = _sample_parts(sys.space, samples, seed)
         low_sq = np.abs(low.element.values) ** 2
         up_sq = np.abs(upper.values) ** 2
         wl, wu, _ = _violations(sys, low_sq, up_sq, batches)
@@ -589,22 +591,21 @@ class VerifyResult:
 
 def verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
                   upper: AlgebraElement, *, samples: int = 1000,
-                  seed: int = 0, rng=None, tol: float = 1e-9) -> VerifyResult:
+                  seed: int = 0) -> VerifyResult:
     """Sampled check that given bound elements satisfy the inequality.
 
     The residual is the worst relative violation found; a negative-free
-    batch verifies within tol.  The worst offending sample is returned
-    as a witness when any violation exceeds tol.  With samples=0 nothing
-    is sampled: the residual is 0.0 and there is no witness, as in
-    certify.
+    batch verifies within _VERIFY_TOL.  The worst offending sample is
+    returned as a witness when any violation exceeds it.  With samples=0
+    nothing is sampled: the residual is 0.0 and there is no witness, as
+    in certify.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
-    batches = _sample_parts(sys.space, samples, rng)
+    batches = _sample_parts(sys.space, samples, seed)
     low_sq = np.abs(lower.values) ** 2
     up_sq = np.abs(upper.values) ** 2
     wl, wu, per_sample = _violations(sys, low_sq, up_sq, batches)
     residual = max(wl, wu, 0.0)
-    verified = residual <= tol
+    verified = residual <= _VERIFY_TOL
     witness = None
     if not verified and per_sample.size:
         s = int(np.argmax(per_sample))
@@ -635,14 +636,14 @@ def _operator_spectrum(sys: ControlledFrameSystem, s: ModuleOperator):
 
 
 def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
-                method: str = "direct", tol: float = 1e-9,
-                max_iter: int | None = None) -> ReconstructionResult:
+                method: str = "direct") -> ReconstructionResult:
     """Round-trip x through the frame operator and solve back.
 
     direct: per-fiber linear solve of S z = S x.
     richardson: z <- z + omega (y - S z) with omega = 2/(l_min + l_max),
-    stopped when the relative residual drops below tol.  The iteration
-    count realizes the classical (kappa-1)/(kappa+1) contraction rate.
+    stopped when the relative residual drops below _RECONSTRUCT_RTOL.
+    The iteration count realizes the classical (kappa-1)/(kappa+1)
+    contraction rate.
     """
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
@@ -665,15 +666,12 @@ def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
         raise ValueError(f"unknown method {method!r}")
     omega = 2.0 / (lo + hi)
     rho = (hi - lo) / (hi + lo)
-    if max_iter is None:
-        if rho <= 0:
-            max_iter = 8
-        else:
-            max_iter = int(np.ceil(3 * np.log(tol) / np.log(rho))) + 50
+    max_iter = (8 if rho <= 0 else
+                int(np.ceil(3 * np.log(_RECONSTRUCT_RTOL) / np.log(rho))) + 50)
     z = sys.space.zero_vector()
     steps = 0
     res = module_norm(y - s(z)) / ynorm
-    while res > tol and steps < max_iter:
+    while res > _RECONSTRUCT_RTOL and steps < max_iter:
         z = z + omega * (y - s(z))
         steps += 1
         res = module_norm(y - s(z)) / ynorm

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector
-from .spectral import fiberwise_pencil_eigvals, hermitian_part
+from .spectral import _CHECK_RTOL, fiberwise_pencil_eigvals, hermitian_part
 
-_CLASSIFY_TOL = 1e-10
 _SINGULAR_RTOL = 1e-12
 
 
@@ -154,12 +153,12 @@ def op_norm(t: ModuleOperator) -> float:
     return worst
 
 
-def op_classify(t: ModuleOperator, *, tol: float = _CLASSIFY_TOL) -> OperatorFlags:
+def op_classify(t: ModuleOperator) -> OperatorFlags:
     """Selfadjointness, positivity and invertibility of an endomorphism.
 
-    Selfadjointness asks W M to be Hermitian fiberwise; positivity
-    additionally asks the Hermitian form W M to be PSD.  Invertibility
-    uses the smallest block singular value with a relative cutoff.
+    Selfadjointness asks W M to be Hermitian fiberwise and positivity
+    asks it to be PSD, both within _CHECK_RTOL; invertibility uses the
+    smallest block singular value with a relative cutoff.
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("classification needs an endomorphism")
@@ -168,11 +167,11 @@ def op_classify(t: ModuleOperator, *, tol: float = _CLASSIFY_TOL) -> OperatorFla
     invertible = True
     for j in range(len(t.blocks)):
         wm = t.domain.weights[j] @ t.blocks[j]
-        scale = max(1.0, float(np.linalg.norm(wm)))
-        if np.linalg.norm(wm - wm.conj().T) > tol * scale:
+        bound = _CHECK_RTOL * max(1.0, float(np.linalg.norm(wm)))
+        if np.linalg.norm(wm - wm.conj().T) > bound:
             selfadjoint = False
             positive = False
-        elif float(np.linalg.eigvalsh(hermitian_part(wm))[0]) < -tol * scale:
+        elif float(np.linalg.eigvalsh(hermitian_part(wm))[0]) < -bound:
             positive = False
         sv = np.linalg.svd(t.blocks[j], compute_uv=False)
         if sv.size == 0 or sv[-1] <= _SINGULAR_RTOL * max(1.0, sv[0]):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import NotDefinite, NotHermitian, NotPSD
 
 _CHECK_RTOL = 1e-10
+_RANK_RTOL = 1e-12
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -66,7 +67,7 @@ class PencilResult:
     vec_max: np.ndarray
 
 
-def pencil_eigh(p, g, *, tol: float = _CHECK_RTOL, vectors: bool = False):
+def pencil_eigh(p, g, *, vectors: bool = False):
     """All eigenvalues of P v = lambda G v, ascending, matrix by matrix.
 
     p and g are one (n, n) matrix each or two (m, n, n) stacks; each
@@ -83,14 +84,14 @@ def pencil_eigh(p, g, *, tol: float = _CHECK_RTOL, vectors: bool = False):
         If a matrix of p (or g) fails the symmetry check.
     NotDefinite
         If a matrix of g is not positive definite: its smallest
-        eigenvalue is at most tol times max(1, its Frobenius norm).
+        eigenvalue is at most _CHECK_RTOL * max(1, its Frobenius norm).
     """
-    p = _require_hermitian(_as_matrix(p, "P", stacked=True), "P", tol)
-    g = _require_hermitian(_as_matrix(g, "G", stacked=True), "G", tol)
+    p = _require_hermitian(_as_matrix(p, "P", stacked=True), "P", _CHECK_RTOL)
+    g = _require_hermitian(_as_matrix(g, "G", stacked=True), "G", _CHECK_RTOL)
     if p.shape != g.shape:
         raise ValueError("P and G must have the same shape")
     gscale = np.maximum(1.0, _norms(g))
-    if np.any(np.linalg.eigvalsh(g)[..., 0] <= tol * gscale):
+    if np.any(np.linalg.eigvalsh(g)[..., 0] <= _CHECK_RTOL * gscale):
         raise NotDefinite("G is not positive definite")
     try:
         chol = np.linalg.cholesky(g)
@@ -127,7 +128,7 @@ def fiberwise_pencil_eigvals(ps, gs) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def pencil_extremes(p, g, *, tol: float = _CHECK_RTOL) -> PencilResult:
+def pencil_extremes(p, g) -> PencilResult:
     """Solve P v = lambda G v for the smallest and largest eigenvalue.
 
     Parameters
@@ -136,8 +137,6 @@ def pencil_extremes(p, g, *, tol: float = _CHECK_RTOL) -> PencilResult:
         Hermitian matrix.
     g : array_like
         Hermitian positive-definite matrix of the same shape.
-    tol : float
-        Relative tolerance for the Hermitian and definiteness checks.
 
     Raises
     ------
@@ -146,8 +145,7 @@ def pencil_extremes(p, g, *, tol: float = _CHECK_RTOL) -> PencilResult:
     NotDefinite
         If g is not positive definite.
     """
-    w, v = pencil_eigh(_as_matrix(p, "P"), _as_matrix(g, "G"), tol=tol,
-                       vectors=True)
+    w, v = pencil_eigh(_as_matrix(p, "P"), _as_matrix(g, "G"), vectors=True)
     return PencilResult(
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),
@@ -164,8 +162,7 @@ def _require_psd(m: np.ndarray, name: str, tol: float) -> np.ndarray:
     return m
 
 
-def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
-                          rank_rtol: float = 1e-12) -> float:
+def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL) -> float:
     """Infimum of x^H P x / x^H G x over all x with x^H G x > 0.
 
     Both matrices must be Hermitian PSD.  When G is definite this equals
@@ -183,9 +180,9 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
 
     lam, u = np.linalg.eigh(g)
     gmax = float(lam[-1]) if lam.size else 0.0
-    if gmax <= max(rank_rtol, tol * max(1.0, float(np.linalg.norm(g)))):
+    if gmax <= max(_RANK_RTOL, tol * max(1.0, float(np.linalg.norm(g)))):
         return float("inf")
-    keep = lam > rank_rtol * gmax
+    keep = lam > _RANK_RTOL * gmax
     u_r = u[:, keep]
     lam_r = lam[keep]
     if not np.all(keep):
@@ -195,7 +192,7 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
         p_kk = u_k.conj().T @ p @ u_k
         # PSD P guarantees range(P_kr) inside range(P_kk), so the Schur
         # complement below is the exact minimum over kernel components.
-        s = p_rr - p_rk @ np.linalg.pinv(p_kk, rcond=rank_rtol) @ p_rk.conj().T
+        s = p_rr - p_rk @ pinv(p_kk) @ p_rk.conj().T
     else:
         s = u.conj().T @ p @ u
     scaled = (s / np.sqrt(lam_r)[None, :]) / np.sqrt(lam_r)[:, None]
@@ -203,9 +200,9 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL,
     return max(val, 0.0)
 
 
-def pinv(m, rtol: float = 1e-12) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
-    Singular values below rtol * sigma_max are treated as zero.
+    Singular values below _RANK_RTOL * sigma_max are treated as zero.
     """
-    return np.linalg.pinv(np.array(m, dtype=np.complex128), rcond=rtol)
+    return np.linalg.pinv(np.array(m, dtype=np.complex128), rcond=_RANK_RTOL)

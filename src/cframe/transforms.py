@@ -32,6 +32,8 @@ from .testing import random_vector
 
 _IDENT_RTOL = 1e-10
 _SURJ_TOL = 1e-12
+_DOUGLAS_RTOL = 1e-9
+_TRANSPORT_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +69,9 @@ def _is_identity(op: ModuleOperator) -> bool:
 
 def _report(sys: ControlledFrameSystem, lower: AlgebraElement,
             upper: AlgebraElement, *, samples: int, seed: int,
-            tol: float, details: dict) -> TransformReport:
-    ver: VerifyResult = verify_bounds(
-        sys, lower, upper, samples=samples, seed=seed, tol=tol
-    )
+            details: dict) -> TransformReport:
+    ver: VerifyResult = verify_bounds(sys, lower, upper, samples=samples,
+                                      seed=seed)
     return TransformReport(
         lower=lower,
         upper=upper,
@@ -92,26 +93,22 @@ class DouglasSolution:
     residual: float
 
 
-def douglas_solve(t: ModuleOperator, tprime: ModuleOperator, *,
-                  rank_rtol: float = 1e-12,
-                  tol: float = 1e-9) -> DouglasSolution:
+def douglas_solve(t: ModuleOperator,
+                  tprime: ModuleOperator) -> DouglasSolution:
     """Solve T D = T' blockwise through the pseudo-inverse.
 
     Succeeds exactly when the range of T' sits inside the range of T;
-    otherwise the least-squares factor leaves a residual and NotIncluded
-    is raised carrying it.  The returned scale |D|^2 majorizes:
-    T' T'* <= |D|^2 T T* fiberwise.
+    otherwise the least-squares factor leaves a relative residual above
+    _DOUGLAS_RTOL and NotIncluded is raised carrying it.  The returned
+    scale |D|^2 majorizes: T' T'* <= |D|^2 T T* fiberwise.
     """
     if t.codomain != tprime.codomain:
         raise SpaceMismatch("factorization needs a common codomain")
-    blocks = tuple(
-        pinv(mb, rtol=rank_rtol) @ pb
-        for mb, pb in zip(t.blocks, tprime.blocks)
-    )
+    blocks = tuple(pinv(m) @ p for m, p in zip(t.blocks, tprime.blocks))
     d = ModuleOperator(tprime.domain, t.domain, blocks)
     scale = max(op_norm(tprime), 1e-300)
     residual = op_norm(op_compose(t, d) - tprime) / scale
-    if residual > tol:
+    if residual > _DOUGLAS_RTOL:
         raise NotIncluded(
             f"range escape: relative factorization residual {residual:.3e}",
             residual=residual,
@@ -122,8 +119,7 @@ def douglas_solve(t: ModuleOperator, tprime: ModuleOperator, *,
 # -- comparison-operator manipulations -----------------------------------
 
 def derive_k_frame(sys: ControlledFrameSystem, cert: FrameCertificate,
-                   k: ModuleOperator, *, samples: int = 1000, seed: int = 0,
-                   tol: float = 1e-9):
+                   k: ModuleOperator, *, samples: int = 1000, seed: int = 0):
     """From plain frame bounds, bounds against a comparison operator k.
 
     The system must be certified with the identity comparison.  The new
@@ -141,13 +137,13 @@ def derive_k_frame(sys: ControlledFrameSystem, cert: FrameCertificate,
     new_sys = with_comparison(sys, k)
     lower = cert.lower * (1.0 / nk)
     report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     tol=tol, details={"comparison_norm": nk})
+                     details={"comparison_norm": nk})
     return new_sys, report
 
 
 def upgrade_by_surjectivity(sys: ControlledFrameSystem,
                             cert: FrameCertificate, *, samples: int = 1000,
-                            seed: int = 0, tol: float = 1e-9):
+                            seed: int = 0):
     """From bounds against a surjective comparison, plain frame bounds.
 
     Uses the lower bound m of the comparison adjoint; surjectivity is
@@ -161,7 +157,7 @@ def upgrade_by_surjectivity(sys: ControlledFrameSystem,
     new_sys = with_comparison(sys, identity(sys.space))
     lower = cert.lower * float(np.sqrt(m))
     report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     tol=tol, details={"adjoint_lower_bound": m})
+                     details={"adjoint_lower_bound": m})
     return new_sys, report
 
 
@@ -170,8 +166,7 @@ def upgrade_by_surjectivity(sys: ControlledFrameSystem,
 def control_uncontrolled(sys: ControlledFrameSystem, cert: FrameCertificate,
                          control: ModuleOperator,
                          control_prime: ModuleOperator, *,
-                         samples: int = 1000, seed: int = 0,
-                         tol: float = 1e-9):
+                         samples: int = 1000, seed: int = 0):
     """Turn an uncontrolled certificate into a controlled one.
 
     Requires both controls positive invertible, commuting with each
@@ -201,8 +196,8 @@ def control_uncontrolled(sys: ControlledFrameSystem, cert: FrameCertificate,
     lower = cert.lower * float(np.sqrt(m))
     upper = cert.upper * op_norm(root)
     report = _report(new_sys, lower, upper, samples=samples, seed=seed,
-                     tol=tol, details={"root_lower_bound": m,
-                                       "root_norm": op_norm(root)})
+                     details={"root_lower_bound": m,
+                              "root_norm": op_norm(root)})
     return new_sys, report
 
 
@@ -210,7 +205,7 @@ def control_uncontrolled(sys: ControlledFrameSystem, cert: FrameCertificate,
 
 def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
                    cert: FrameCertificate | None = None,
-                   samples: int = 1000, seed: int = 0, tol: float = 1e-9):
+                   samples: int = 1000, seed: int = 0):
     """Right-compose every family member with q.
 
     q must commute with both controls and with the comparison operator.
@@ -237,7 +232,6 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
     lower = cert.lower
     upper = cert.upper * op_norm(q)
     report = _report(new_sys, lower, upper, samples=samples, seed=seed,
-                     tol=tol,
                      details={"operator_identity_residual": op_res,
                               "q_norm": op_norm(q)})
     return new_sys, report
@@ -245,8 +239,7 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
 
 def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
                         cert: FrameCertificate | None = None,
-                        samples: int = 1000, seed: int = 0,
-                        tol: float = 1e-9) -> TransformReport:
+                        samples: int = 1000, seed: int = 0) -> TransformReport:
     """Bracket the optimal bounds of the q-composed system.
 
     For invertible q commuting with the controls and the comparison
@@ -395,7 +388,7 @@ def _conjugate(op: ModuleOperator, hom: HomomorphismSpec, invs,
 
 def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
               cert: FrameCertificate | None = None, samples: int = 100,
-              seed: int = 0, tol: float = 1e-10):
+              seed: int = 0):
     """Carry a certified system through an algebra homomorphism.
 
     Builds the unique target system intertwined by the module map,
@@ -444,7 +437,8 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
         )
 
     verified = (new_cert.status == STATUS_FRAME
-                and bound_res <= tol and ident_res <= tol)
+                and bound_res <= _TRANSPORT_RTOL
+                and ident_res <= _TRANSPORT_RTOL)
     report = TransformReport(
         lower=want_lower,
         upper=want_upper,
@@ -466,8 +460,7 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
 
 def range_inclusion_transfer(sys: ControlledFrameSystem,
                              cert: FrameCertificate, u: ModuleOperator, *,
-                             samples: int = 1000, seed: int = 0,
-                             tol: float = 1e-9):
+                             samples: int = 1000, seed: int = 0):
     """Swap the comparison operator for one with an included range.
 
     Solves K D = U first; the majorization scale lambda then dampens
@@ -481,8 +474,8 @@ def range_inclusion_transfer(sys: ControlledFrameSystem,
     new_sys = with_comparison(sys, u)
     lower = cert.lower * factor
     report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     tol=tol, details={"majorization_scale": lam,
-                                       "factorization_residual": sol.residual})
+                     details={"majorization_scale": lam,
+                              "factorization_residual": sol.residual})
     return new_sys, report
 
 
