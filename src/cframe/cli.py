@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .errors import CFrameError, NotIncluded, ParseError, ValidationError
+from .errors import (CFrameError, NotFinite, NotIncluded, ParseError,
+                     ValidationError)
 from .frames import (STATUS_FRAME, ControlledFrameSystem, _operator_spectrum,
                      certify, frame_operator, frame_system, reconstruct,
                      verify_bounds)
@@ -188,16 +189,18 @@ def _tolerance(alg_doc: dict, key: str) -> float:
     return float(val)
 
 
-def _parse_space(doc, algebra: Algebra, where: str) -> ModuleSpace:
-    """One fiber per character of algebra, each a dim and optional weight."""
+def _parse_fibers(doc, d: int, where: str) -> tuple[list[int], list]:
+    """Dims and make_space specs of d fibers, each a dim and optional weight.
+
+    No space is built here, so a dim too large to allocate is refused by
+    the block shape checks that follow, before make_space sees it.
+    """
     if not isinstance(doc, dict) or "fibers" not in doc:
         raise ValidationError(f"{where}: block with fibers list required")
     fibers = doc["fibers"]
-    if not isinstance(fibers, list) or len(fibers) != algebra.d:
-        raise ValidationError(
-            f"{where}.fibers: need exactly {algebra.d} fibers"
-        )
-    specs = []
+    if not isinstance(fibers, list) or len(fibers) != d:
+        raise ValidationError(f"{where}.fibers: need exactly {d} fibers")
+    dims, specs = [], []
     for j, f in enumerate(fibers):
         at = f"{where}.fibers[{j}]"
         if not isinstance(f, dict) or "dim" not in f:
@@ -205,6 +208,7 @@ def _parse_space(doc, algebra: Algebra, where: str) -> ModuleSpace:
         n = f["dim"]
         if not _is_int(n) or n < 1:
             raise ValidationError(f"{at}.dim: positive integer")
+        dims.append(n)
         if "weight" in f:
             w = _parse_matrix(f["weight"], f"{at}.weight")
             if w.shape != (n, n):
@@ -214,7 +218,7 @@ def _parse_space(doc, algebra: Algebra, where: str) -> ModuleSpace:
             specs.append((n, w))
         else:
             specs.append(n)
-    return make_space(algebra, specs)
+    return dims, specs
 
 
 def description_from_dict(doc: dict) -> SystemDescription:
@@ -235,13 +239,16 @@ def description_from_dict(doc: dict) -> SystemDescription:
     except ValueError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 
-    space = _parse_space(doc.get("space"), algebra, "space")
+    dims, specs = _parse_fibers(doc.get("space"), d, "space")
 
     ops_doc = doc.get("operators") or {}
     if not isinstance(ops_doc, dict):
         raise ValidationError("operators: expected an object of named "
                               "operators")
-    ops: dict[str, ModuleOperator] = {}
+    if not ops_doc:
+        # Every command needs one; refuse before a space is built.
+        raise ValidationError("operators: at least one operator required")
+    op_blocks: dict[str, tuple] = {}
     for name, blocks in ops_doc.items():
         if not isinstance(blocks, list) or len(blocks) != d:
             raise ValidationError(
@@ -250,13 +257,16 @@ def description_from_dict(doc: dict) -> SystemDescription:
         mats = []
         for j, b in enumerate(blocks):
             m = _parse_matrix(b, f"operators.{name}[{j}]")
-            if m.shape != (space.dims[j], space.dims[j]):
+            if m.shape != (dims[j], dims[j]):
                 raise ValidationError(
                     f"operators.{name}[{j}]: expected shape "
-                    f"({space.dims[j]}, {space.dims[j]})"
+                    f"({dims[j]}, {dims[j]})"
                 )
             mats.append(m)
-        ops[name] = ModuleOperator(space, space, tuple(mats))
+        op_blocks[name] = tuple(mats)
+    space = make_space(algebra, specs)
+    ops = {name: ModuleOperator(space, space, mats)
+           for name, mats in op_blocks.items()}
 
     family = control = control_prime = comparison = None
     fr = doc.get("frame")
@@ -360,24 +370,30 @@ def _native(value):
     return value
 
 
-def _render_human(doc: dict, out) -> None:
+def _render_human(doc: dict) -> str:
+    lines = []
+
     def walk(prefix: str, v):
         if isinstance(v, dict):
             for k in sorted(v):
                 walk(f"{prefix}{k}." if prefix else f"{k}.", v[k])
             return
         label = prefix[:-1] if prefix.endswith(".") else prefix
-        print(f"{label:<40} {json.dumps(v)}", file=out)
+        lines.append(f"{label:<40} {json.dumps(v, allow_nan=False)}")
 
     walk("", doc)
+    return "\n".join(lines)
 
 
 def _emit(doc: dict, human: bool) -> None:
+    """Print the whole report at once, or nothing if a value is not finite."""
     doc = _native(doc)
-    if human:
-        _render_human(doc, sys.stdout)
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    try:
+        text = (_render_human(doc) if human else
+                json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+    except ValueError as exc:  # NaN or an infinity, refused by allow_nan
+        raise NotFinite("report value is not finite") from exc
+    print(text)
 
 
 def _report(command: str, args, algebra: Algebra, result: dict) -> None:
@@ -468,11 +484,8 @@ def _hom_spec(desc: SystemDescription) -> HomomorphismSpec:
             "task.hom.char_map: nonempty list of source characters "
             f"0..{alg.d - 1}"
         )
-    target = _parse_space(
-        hom["target_space"],
-        Algebra(len(char_map), eps_pos=alg.eps_pos, eps_nz=alg.eps_nz),
-        "task.hom.target_space",
-    )
+    dims, specs = _parse_fibers(hom["target_space"], len(char_map),
+                                "task.hom.target_space")
     theta = hom["theta"]
     if not isinstance(theta, list) or len(theta) != len(char_map):
         raise ValidationError(
@@ -481,12 +494,14 @@ def _hom_spec(desc: SystemDescription) -> HomomorphismSpec:
     blocks = []
     for k, (b, i) in enumerate(zip(theta, char_map)):
         m = _parse_matrix(b, f"task.hom.theta[{k}]")
-        shape = (target.dims[k], desc.space.dims[i])
+        shape = (dims[k], desc.space.dims[i])
         if m.shape != shape:
             raise ValidationError(
                 f"task.hom.theta[{k}]: expected shape {shape}"
             )
         blocks.append(m)
+    target = make_space(
+        Algebra(len(char_map), eps_pos=alg.eps_pos, eps_nz=alg.eps_nz), specs)
     return HomomorphismSpec(tuple(char_map), tuple(blocks), target)
 
 
@@ -730,7 +745,7 @@ def run(argv) -> int:
     except CFrameError as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         res = getattr(exc, "residual", None)
-        if res is not None:
+        if res is not None and math.isfinite(res):
             err["residual"] = float(res)
         _emit({"error": err}, args.human)
         return 1

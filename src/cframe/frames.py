@@ -269,12 +269,17 @@ def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
 
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
     phi_raw, phi, gamma = [], [], []
-    for j in range(len(sys.space.dims)):
-        raw = (sys.control_prime.blocks[j].conj().T
-               @ family_gram_matrix(sys, j) @ sys.control.blocks[j])
-        phi_raw.append(_frozen(raw))
-        phi.append(_frozen(hermitian_part(raw)))
-        gamma.append(_frozen(adjoint_gram_matrix(sys.comparison, j)))
+    # Overflow is caught by the finite checks, which raise NotFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(sys.space.dims)):
+            raw = (sys.control_prime.blocks[j].conj().T
+                   @ family_gram_matrix(sys, j) @ sys.control.blocks[j])
+            what = f"frame form Phi at fiber {j}"
+            phi_raw.append(_frozen(_finite(raw, what)))
+            phi.append(_frozen(_finite(hermitian_part(raw), what)))
+            g = adjoint_gram_matrix(sys.comparison, j)
+            what = f"comparison form Gamma at fiber {j}"
+            gamma.append(_frozen(_finite(g, what)))
     return FiberForms(weight=sys.space.weights, phi_raw=tuple(phi_raw),
                       phi=tuple(phi), gamma=tuple(gamma))
 
@@ -304,17 +309,19 @@ def frame_operator(sys: ControlledFrameSystem) -> ModuleOperator:
     if not sys.family:
         raise ValueError("frame operator needs a nonempty family")
     blocks = []
-    for j in range(len(sys.space.dims)):
-        cp = sys.control_prime.blocks[j]
-        c = sys.control.blocks[j]
-        winv = sys.space.weight_inv(j)
-        w = sys.space.weights[j]
-        acc = np.zeros((sys.space.dims[j], sys.space.dims[j]),
-                       dtype=np.complex128)
-        for t in sys.family:
-            m = t.blocks[j]
-            acc += cp @ (winv @ m.conj().T @ w) @ m @ c
-        blocks.append(acc)
+    # Overflow is caught by the finite check, which raises NotFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(sys.space.dims)):
+            cp = sys.control_prime.blocks[j]
+            c = sys.control.blocks[j]
+            winv = sys.space.weight_inv(j)
+            w = sys.space.weights[j]
+            acc = np.zeros((sys.space.dims[j], sys.space.dims[j]),
+                           dtype=np.complex128)
+            for t in sys.family:
+                m = t.blocks[j]
+                acc += cp @ (winv @ m.conj().T @ w) @ m @ c
+            blocks.append(_finite(acc, f"frame operator at fiber {j}"))
     return ModuleOperator(sys.space, sys.space, tuple(blocks))
 
 

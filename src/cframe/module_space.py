@@ -19,11 +19,14 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement
 from .errors import NotDefinite, NotHermitian, SpaceMismatch
+from .spectral import _CHECK_RTOL
 
 _HERM_RTOL = 1e-12
 
 
 def _check_weight(w: np.ndarray, j: int) -> np.ndarray:
+    """Hermitian within _HERM_RTOL, and definite by the rule of the
+    pencil solves: smallest eigenvalue above _CHECK_RTOL max(1, |w|_F)."""
     w = np.array(w, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"fiber {j}: weight must be a square matrix")
@@ -32,7 +35,7 @@ def _check_weight(w: np.ndarray, j: int) -> np.ndarray:
         raise NotHermitian(f"fiber {j}: weight is not Hermitian")
     w = 0.5 * (w + w.conj().T)
     eigs = np.linalg.eigvalsh(w)
-    if eigs[0] <= _HERM_RTOL * scale:
+    if eigs[0] <= _CHECK_RTOL * scale:
         raise NotDefinite(f"fiber {j}: weight is not positive definite")
     return w
 

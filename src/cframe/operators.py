@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, NotPositive, SpaceMismatch
+from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector
 from .spectral import _CHECK_RTOL, fiberwise_pencil_eigvals, hermitian_part
 
@@ -144,10 +144,17 @@ def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
 
 
 def op_norm(t: ModuleOperator) -> float:
-    """Operator norm between the weighted geometries."""
+    """Operator norm between the weighted geometries.
+
+    Raises NotFinite for a block that is not finite, or overflows.
+    """
     worst = 0.0
     for j in range(len(t.blocks)):
-        m = t.codomain.weight_sqrt(j) @ t.blocks[j] @ t.domain.weight_isqrt(j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (t.codomain.weight_sqrt(j) @ t.blocks[j]
+                 @ t.domain.weight_isqrt(j))
+        if not np.isfinite(m).all():
+            raise NotFinite(f"fiber {j} of an operator is not finite")
         if m.size:
             worst = max(worst, float(np.linalg.norm(m, 2)))
     return worst
@@ -166,8 +173,12 @@ def op_classify(t: ModuleOperator) -> OperatorFlags:
     positive = True
     invertible = True
     for j in range(len(t.blocks)):
-        wm = t.domain.weights[j] @ t.blocks[j]
-        bound = _CHECK_RTOL * max(1.0, float(np.linalg.norm(wm)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            wm = t.domain.weights[j] @ t.blocks[j]
+            norm = float(np.linalg.norm(wm))
+        if not np.isfinite(norm):
+            raise NotFinite(f"fiber {j}: the norm of W M is not finite")
+        bound = _CHECK_RTOL * max(1.0, norm)
         if np.linalg.norm(wm - wm.conj().T) > bound:
             selfadjoint = False
             positive = False

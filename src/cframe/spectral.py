@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDefinite, NotHermitian, NotPSD
+from .errors import NotDefinite, NotFinite, NotHermitian, NotPSD
 
 _CHECK_RTOL = 1e-10
 _RANK_RTOL = 1e-12
@@ -85,6 +85,8 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     NotDefinite
         If a matrix of g is not positive definite: its smallest
         eigenvalue is at most _CHECK_RTOL * max(1, its Frobenius norm).
+    NotFinite
+        If a matrix of p, or of the reduced L^-1 P L^-H, is not finite.
     """
     p = _require_hermitian(_as_matrix(p, "P", stacked=True), "P", _CHECK_RTOL)
     g = _require_hermitian(_as_matrix(g, "G", stacked=True), "G", _CHECK_RTOL)
@@ -97,8 +99,11 @@ def pencil_eigh(p, g, *, vectors: bool = False):
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotDefinite("G is not positive definite") from exc
-    half = np.linalg.solve(chol, p)
-    reduced = hermitian_part(np.linalg.solve(chol, _adjoint(half)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.linalg.solve(chol, p)
+        reduced = hermitian_part(np.linalg.solve(chol, _adjoint(half)))
+    if not np.isfinite(reduced).all():
+        raise NotFinite("pencil (P, G) is not finite")
     if not vectors:
         return np.linalg.eigvalsh(reduced)
     lam, y = np.linalg.eigh(reduced)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement
-from .errors import (IntertwiningViolated, NotCommuting, NotGLPlus,
-                     NotIncluded, NotInvertible, NotSurjective,
+from .errors import (IntertwiningViolated, NotCommuting, NotFinite,
+                     NotGLPlus, NotIncluded, NotInvertible, NotSurjective,
                      PreconditionUnverified, SpaceMismatch, ZeroOperator)
 from .frames import (_COMMUTE_RTOL, STATUS_FRAME, ControlledFrameSystem,
                      FrameCertificate, VerifyResult, certify,
@@ -104,16 +104,22 @@ def douglas_solve(t: ModuleOperator,
     """
     if t.codomain != tprime.codomain:
         raise SpaceMismatch("factorization needs a common codomain")
-    blocks = tuple(pinv(m) @ p for m, p in zip(t.blocks, tprime.blocks))
-    d = ModuleOperator(tprime.domain, t.domain, blocks)
-    scale = max(op_norm(tprime), 1e-300)
-    residual = op_norm(op_compose(t, d) - tprime) / scale
+    # An overflowing factor ends in op_norm, which raises NotFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = tuple(pinv(m) @ p for m, p in zip(t.blocks, tprime.blocks))
+        d = ModuleOperator(tprime.domain, t.domain, blocks)
+        scale = max(op_norm(tprime), 1e-300)
+        residual = op_norm(op_compose(t, d) - tprime) / scale
     if residual > _DOUGLAS_RTOL:
         raise NotIncluded(
             f"range escape: relative factorization residual {residual:.3e}",
             residual=residual,
         )
-    return DouglasSolution(factor=d, scale=op_norm(d) ** 2, residual=residual)
+    try:
+        lam = op_norm(d) ** 2
+    except OverflowError as exc:
+        raise NotFinite("Douglas scale |D|^2 is not finite") from exc
+    return DouglasSolution(factor=d, scale=lam, residual=residual)
 
 
 # -- comparison-operator manipulations -----------------------------------
@@ -359,7 +365,9 @@ def _validate_hom(hom: HomomorphismSpec, source: ModuleSpace):
             )
         w_src = source.weights[i]
         v_tgt = hom.target_space.weights[k]
-        res = float(np.linalg.norm(th.conj().T @ v_tgt @ th - w_src))
+        # An overflowing residual fails the check below as infinity.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(th.conj().T @ v_tgt @ th - w_src))
         if res > _IDENT_RTOL * max(1.0, float(np.linalg.norm(w_src))):
             raise IntertwiningViolated(
                 f"target fiber {k}: module map does not preserve the "

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cframe import description_from_dict, parse_system, run, serialize_system
+from cframe import (cli, description_from_dict, parse_system, run,
+                    serialize_system)
 from cframe.cli import _parse_matrix
 from cframe.errors import ParseError, ValidationError
 
@@ -599,3 +603,189 @@ def test_non_finite_env_tolerance_is_an_error(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert out["error"]["type"] == "ValidationError"
     assert "CFRAME_TOLERANCE" in out["error"]["message"]
+
+
+# -- overflow, huge dims and weights: a JSON error, never NaN or Infinity ---
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def run_strict(argv):
+    """Exit code and stdout of one in-process run; stdout must be one
+    standard JSON document, NaN and Infinity refused."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, json.loads(buf.getvalue(), parse_constant=reject_constant)
+
+
+def overflowing_sum_doc():
+    """Each M^H W M is finite (1.44e308) but the family sum overflows."""
+    return {"algebra": {"d": 1}, "space": {"fibers": [{"dim": 1}]},
+            "operators": {"T": [[[1.2e154]]]}, "frame": {"family": ["T", "T"]}}
+
+
+@pytest.mark.parametrize("command, form", [
+    ("certify", "frame form Phi"), ("bounds", "frame form Phi"),
+    ("frame-operator", "frame operator"),
+])
+def test_overflowing_frame_form_is_a_json_error(tmp_path, capsys, command,
+                                                form):
+    path = write_doc(tmp_path, overflowing_sum_doc())
+    code, out = run_strict([command, path])
+    assert code == 1
+    assert out["error"] == {"type": "NotFinite",
+                            "message": f"{form} at fiber 0 is not finite"}
+    assert run([command, path, "--human"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["error.message",
+                                                   "error.type"]
+
+
+@pytest.mark.parametrize("kind", ["douglas", "range"])
+def test_overflowing_douglas_scale_is_a_json_error(tmp_path, kind):
+    doc = task_doc()
+    doc["operators"]["Q"][1] = [[1e200]]
+    code, out = run_strict(["transform", kind, write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"] == {"type": "NotFinite",
+                            "message": "Douglas scale |D|^2 is not finite"}
+
+
+def test_infinite_residual_is_left_out_of_the_error(tmp_path):
+    doc = task_doc()
+    doc["task"]["hom"]["theta"][1][0][0] = [1.2e154, 0.0]
+    code, out = run_strict(["transform", "hom", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"]["type"] == "IntertwiningViolated"
+    assert "residual" not in out["error"]
+
+
+@pytest.mark.parametrize("human", [False, True])
+def test_non_finite_report_value_prints_only_the_error(capsys, monkeypatch,
+                                                       human):
+    monkeypatch.setattr(cli, "_operator_spectrum",
+                        lambda sysm, s: (float("nan"), 1.0))
+    argv = ["frame-operator", golden("identity_system.json")]
+    assert run(argv + ["--human"] * human) == 1
+    out = capsys.readouterr().out
+    want = {"type": "NotFinite", "message": "report value is not finite"}
+    if human:  # the error lines alone, no part of the report
+        assert out == "".join(f"error.{k:<34} {json.dumps(want[k])}\n"
+                              for k in sorted(want))
+    else:
+        assert json.loads(out) == {"error": want}
+
+
+@pytest.mark.parametrize("dim", [10 ** 20, 10 ** 6])
+def test_huge_dim_is_refused_by_the_block_shapes(tmp_path, dim):
+    with open(golden("identity_system.json")) as fh:
+        doc = json.load(fh)
+    doc["space"]["fibers"][1]["dim"] = dim
+    code, out = run_strict(["certify", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"] == {
+        "type": "ValidationError",
+        "message": f"operators.I[1]: expected shape ({dim}, {dim})"}
+
+
+def test_huge_target_dim_is_refused_by_the_theta_shapes(tmp_path):
+    doc = task_doc()
+    doc["task"]["hom"]["target_space"]["fibers"][0]["dim"] = 10 ** 20
+    code, out = run_strict(["transform", "hom", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"]["message"] == (
+        f"task.hom.theta[0]: expected shape ({10 ** 20}, 1)")
+
+
+@pytest.mark.parametrize("ops", [None, {}])
+def test_file_without_operators_is_refused(tmp_path, ops):
+    doc = {"algebra": {"d": 1}, "space": {"fibers": [{"dim": 10 ** 20}]}}
+    if ops is not None:
+        doc["operators"] = ops
+    code, out = run_strict(["certify", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"] == {
+        "type": "ValidationError",
+        "message": "operators: at least one operator required"}
+
+
+@pytest.mark.parametrize("command", ["certify", "bounds", "frame-operator"])
+def test_weight_definiteness_follows_the_pencil_rule(tmp_path, command):
+    # 1e-11 passed the old 1e-12 weight check, then failed in the pencil
+    # solve as "G is not positive definite", naming neither weight nor
+    # fiber.
+    with open(golden("identity_system.json")) as fh:
+        doc = json.load(fh)
+    doc["space"]["fibers"][0]["weight"] = [[1, 0], [0, 1e-11]]
+    code, out = run_strict([command, write_doc(tmp_path, doc)])
+    assert code == 1
+    assert out["error"] == {
+        "type": "NotDefinite",
+        "message": "fiber 0: weight is not positive definite"}
+
+
+# -- fuzz: every document ends in a report or a JSON error -----------------
+
+FILE_COMMANDS = [["certify"], ["bounds"], ["frame-operator"]] + [
+    ["transform", kind] for kind in ("q", "invq", "hom", "douglas", "range")]
+
+# Overflowing and non-finite numbers, absurd dims, and wrong types.
+POOL = [1.2e154, 1e200, 10 ** 400, float("nan"), 10 ** 6, 10 ** 20, True,
+        False, "x", [], 0, -1, 2, [[1.0]]]
+
+
+def node_paths(node, prefix=()):
+    """The path of every node below the root, parents first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+def draw_path(data, doc):
+    """A node path, drawn so that each field name is about as likely as
+    any other: a dim or a theta block is not outnumbered by the many
+    matrix entries."""
+    by_field: dict = {}
+    for path in node_paths(doc):
+        field = [k for k in path if isinstance(k, str)][-1]
+        by_field.setdefault(field, []).append(path)
+    field = data.draw(st.sampled_from(sorted(by_field)))
+    return data.draw(st.sampled_from(by_field[field]))
+
+
+def mutate(doc, path, value, delete):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+def fuzz_bases():
+    with open(golden("identity_system.json")) as fh:
+        return [json.load(fh), task_doc()]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_documents_end_in_a_report_or_a_json_error(data):
+    doc = data.draw(st.sampled_from(fuzz_bases()))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not doc:
+            break
+        mutate(doc, draw_path(data, doc), data.draw(st.sampled_from(POOL)),
+               data.draw(st.booleans()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sys.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in FILE_COMMANDS:
+            code, out = run_strict(command + [path, "--samples", "20"])
+            assert code in (0, 1, 2)
+            assert ("error" in out) == (code == 1)

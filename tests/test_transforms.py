@@ -9,10 +9,10 @@ from cframe import (Algebra, HomomorphismSpec, ModuleOperator, STATUS_FRAME,
                     op_norm, range_inclusion_transfer, transport,
                     upgrade_by_surjectivity, with_comparison, with_family,
                     zero_operator)
-from cframe.errors import (IntertwiningViolated, NotCommuting, NotGLPlus,
-                           NotIncluded, NotInvertible, NotSurjective,
-                           PreconditionUnverified, SpaceMismatch,
-                           ZeroOperator)
+from cframe.errors import (IntertwiningViolated, NotCommuting, NotFinite,
+                           NotGLPlus, NotIncluded, NotInvertible,
+                           NotSurjective, PreconditionUnverified,
+                           SpaceMismatch, ZeroOperator)
 from cframe.testing import (diagonal_operator, random_hpd, random_operator,
                             random_space, random_system, random_unitary,
                             random_vector, scalar_glplus, unitary_diag_family)
@@ -78,6 +78,16 @@ def test_douglas_space_mismatch():
     b = make_space(Algebra(1), [3])
     with pytest.raises(SpaceMismatch):
         douglas_solve(identity(a), identity(b))
+
+
+def test_douglas_overflowing_factor_is_not_finite():
+    # pinv(T) scales the second coordinate by 1e11, so D = pinv(T) T'
+    # overflows there although T and T' are finite.
+    space = make_space(Algebra(1), [2])
+    t = ModuleOperator(space, space, (np.diag([1.0, 1e-11]),))
+    tprime = ModuleOperator(space, space, (np.diag([1.0, 1e300]),))
+    with pytest.raises(NotFinite):
+        douglas_solve(t, tprime)
 
 
 # -- moving the comparison operator --------------------------------------
