@@ -42,12 +42,12 @@ import numpy as np
 
 from .algebra import (AlgebraElement, alg_is_positive,
                       alg_is_strictly_nonzero)
-from .errors import (LengthMismatch, NotCommuting, NotFinite, NotGLPlus,
+from .errors import (LengthMismatch, NotCommuting, NotGLPlus,
                      SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
                         op_adjoint, op_classify, op_compose, op_sqrt)
-from .spectral import (fiberwise_pencil_eigvals, hermitian_part,
+from .spectral import (_finite, fiberwise_pencil_eigvals, hermitian_part,
                        restricted_pencil_min, size_groups)
 
 STATUS_FRAME = "frame"
@@ -87,12 +87,6 @@ class _Operand:
         for g, x in enumerate(self.stacks):
             worst = max(worst, self._fibers.largest_sv(x, g, self.name))
         return worst
-
-
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NotFinite(f"{what} is not finite")
-    return arr
 
 
 class _FiberStacks:

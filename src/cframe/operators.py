@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector
-from .spectral import _CHECK_RTOL, fiberwise_pencil_eigvals, hermitian_part
+from .spectral import (_CHECK_RTOL, _finite, fiberwise_pencil_eigvals,
+                       hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
 
@@ -153,8 +154,7 @@ def op_norm(t: ModuleOperator) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             m = (t.codomain.weight_sqrt(j) @ t.blocks[j]
                  @ t.domain.weight_isqrt(j))
-        if not np.isfinite(m).all():
-            raise NotFinite(f"fiber {j} of an operator is not finite")
+        _finite(m, f"fiber {j} of an operator")
         if m.size:
             worst = max(worst, float(np.linalg.norm(m, 2)))
     return worst

@@ -42,6 +42,12 @@ def _as_matrix(m, name: str, *, stacked: bool = False) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NotFinite(f"{what} is not finite")
+    return arr
+
+
 def _norms(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of a matrix, or of each matrix in a stack."""
     return np.linalg.norm(m, axis=(-2, -1))
@@ -102,8 +108,7 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.linalg.solve(chol, p)
         reduced = hermitian_part(np.linalg.solve(chol, _adjoint(half)))
-    if not np.isfinite(reduced).all():
-        raise NotFinite("pencil (P, G) is not finite")
+    _finite(reduced, "pencil (P, G)")
     if not vectors:
         return np.linalg.eigvalsh(reduced)
     lam, y = np.linalg.eigh(reduced)
