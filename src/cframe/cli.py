@@ -568,7 +568,7 @@ def _cmd_example(args) -> int:
         "bessel_min_slack": ec.bessel_min_slack,
         "upper": ec.certificate.upper,
     })
-    return 0
+    return 0 if ec.certificate.status == STATUS_FRAME else 2
 
 
 def _selftest_cases(seed: int, samples: int) -> list[dict]:

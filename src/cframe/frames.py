@@ -47,8 +47,8 @@ from .errors import (LengthMismatch, NotCommuting, NotGLPlus,
 from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
 from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
                         op_adjoint, op_classify, op_compose, op_sqrt)
-from .spectral import (_finite, fiberwise_pencil_eigvals, hermitian_part,
-                       restricted_pencil_min, size_groups)
+from .spectral import (_finite, _norms, fiberwise_pencil_eigvals,
+                       hermitian_part, restricted_pencil_min, size_groups)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -383,35 +383,30 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
 
     Fiber j solves inf x^H Phi x / x^H Gamma x over x with a nonzero
     denominator, Phi the frame form and Gamma the comparison form.  A
-    fiber with vanishing Gamma puts no constraint on the bound; it is
-    flagged vacuous and later filled with the largest feasible value.
+    fiber whose Gamma has no positive eigenvalue puts no constraint on
+    the bound: restricted_pencil_min returns +inf there, and the fiber
+    is flagged vacuous and later filled with the largest feasible value.
     A fiber with infimum zero (or an indefinite frame form) admits no
     strictly nonzero bound, which fails the whole lower inequality.
     """
     d = len(sys.space.dims)
-    eps = sys.space.algebra.eps_pos
     forms = sys.forms
-    gammas = forms.gamma
-    gscale = max([1.0] + [float(np.linalg.norm(g)) for g in gammas])
     infima: list[float] = []
     vacuous: list[int] = []
     failed: list[int] = []
     for j, lam in enumerate(forms.phi_spectrum):
-        phi = forms.phi[j]
         if lam[0] < -_SKEW_RTOL * max(1.0, abs(float(lam[-1]))):
             # Frame form dips negative: no positive element fits below it.
             infima.append(0.0)
             failed.append(j)
             continue
-        if float(np.linalg.norm(gammas[j])) <= eps * gscale:
-            infima.append(float("inf"))
-            vacuous.append(j)
-            continue
-        lam, u = np.linalg.eigh(phi)
+        lam, u = np.linalg.eigh(forms.phi[j])
         phi_psd = (u * np.clip(lam, 0.0, None)) @ u.conj().T
-        val = restricted_pencil_min(phi_psd, gammas[j], tol=_SKEW_RTOL)
+        val = restricted_pencil_min(phi_psd, forms.gamma[j])
         infima.append(val)
-        if val <= 0.0:
+        if val == np.inf:
+            vacuous.append(j)
+        elif val <= 0.0:
             failed.append(j)
     finite = [v for v in infima if np.isfinite(v)]
     fill = np.sqrt(max(finite)) if finite else 1.0
@@ -440,6 +435,14 @@ class FrameCertificate:
     upper_residual: float
     status: str
     vacuous: tuple[int, ...]
+
+
+def _bound_status(lower_holds: bool, upper: AlgebraElement) -> str:
+    """`not_frame` unless upper is strictly nonzero; then `frame` if the
+    lower side holds with a strictly nonzero bound, else `bessel_only`."""
+    if not alg_is_strictly_nonzero(upper):
+        return STATUS_NOT_FRAME
+    return STATUS_FRAME if lower_holds else STATUS_BESSEL
 
 
 def _sample_parts(space: ModuleSpace, count: int, seed: int) -> list:
@@ -499,23 +502,26 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
     forms = sys.forms
     upper = optimal_upper_bound(sys)
     low = optimal_lower_bound(sys)
+    # A vacuous fiber with a zero frame form bounds neither side, so its
+    # upper is filled as the lower is.
+    idle = [j for j in low.vacuous if upper.values[j] == 0.0]
+    if idle:
+        rest = np.delete(np.abs(upper.values), idle)
+        vals = upper.values.copy()
+        vals[idle] = rest.max() if rest.size else 1.0
+        upper = AlgebraElement(upper.algebra, vals)
 
-    raw_norms = [float(np.linalg.norm(phi)) for phi in forms.phi_raw]
+    raw_norms = [float(_norms(phi)) for phi in forms.phi_raw]
     skew = 0.0
     for phi, norm in zip(forms.phi_raw, raw_norms):
         scale = max(1.0, norm)
-        skew = max(skew, float(np.linalg.norm(phi - phi.conj().T)) / scale)
+        skew = max(skew, float(_norms(phi - phi.conj().T)) / scale)
 
-    upper_nz = alg_is_strictly_nonzero(upper)
-    lower_nz = alg_is_strictly_nonzero(low.element)
     if skew > _SKEW_RTOL:
         status = STATUS_NOT_FRAME
-    elif low.ok and lower_nz and upper_nz:
-        status = STATUS_FRAME
-    elif upper_nz:
-        status = STATUS_BESSEL
     else:
-        status = STATUS_NOT_FRAME
+        lower_holds = low.ok and alg_is_strictly_nonzero(low.element)
+        status = _bound_status(lower_holds, upper)
 
     tight = False
     if status == STATUS_FRAME:
@@ -523,7 +529,7 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
         worst = 0.0
         for j, (phi, gamma) in enumerate(zip(forms.phi_raw, forms.gamma)):
             a2 = float(np.abs(low.element.values[j]) ** 2)
-            worst = max(worst, float(np.linalg.norm(a2 * gamma - phi)))
+            worst = max(worst, float(_norms(a2 * gamma - phi)))
         tight = worst <= _TIGHT_RTOL * scale
 
     lower_res = 0.0

@@ -18,26 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .errors import NotDefinite, NotHermitian, SpaceMismatch
-from .spectral import _CHECK_RTOL
+from .errors import SpaceMismatch
+from .spectral import _as_matrix, _require_definite, _require_hermitian
 
 _HERM_RTOL = 1e-12
 
 
-def _check_weight(w: np.ndarray, j: int) -> np.ndarray:
-    """Hermitian within _HERM_RTOL, and definite by the rule of the
-    pencil solves: smallest eigenvalue above _CHECK_RTOL max(1, |w|_F)."""
-    w = np.array(w, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"fiber {j}: weight must be a square matrix")
-    scale = max(1.0, float(np.linalg.norm(w)))
-    if np.linalg.norm(w - w.conj().T) > _HERM_RTOL * scale:
-        raise NotHermitian(f"fiber {j}: weight is not Hermitian")
-    w = 0.5 * (w + w.conj().T)
-    eigs = np.linalg.eigvalsh(w)
-    if eigs[0] <= _CHECK_RTOL * scale:
-        raise NotDefinite(f"fiber {j}: weight is not positive definite")
-    return w
+def _check_weight(w, j: int):
+    """Hermitian part and eigh of w, checked square, Hermitian within
+    _HERM_RTOL and definite by spectral._require_definite."""
+    name = f"fiber {j}: weight"
+    w = _require_hermitian(_as_matrix(w, name), name, _HERM_RTOL)
+    return (w, *_require_definite(w, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +50,9 @@ class ModuleSpace:
             raise ValueError("fiber dimensions must be positive")
         ws, sq, isq, inv = [], [], [], []
         for j, (n, w) in enumerate(zip(dims, self.weights)):
-            w = _check_weight(w, j)
+            w, lam, u = _check_weight(w, j)
             if w.shape[0] != n:
                 raise ValueError(f"fiber {j}: weight shape does not match dim")
-            lam, u = np.linalg.eigh(w)
             root = np.sqrt(lam)
             ws.append(_frozen(w))
             sq.append(_frozen((u * root) @ u.conj().T))

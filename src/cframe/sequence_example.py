@@ -26,14 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, alg_is_strictly_nonzero
 from .errors import BadParameters
-from .frames import (STATUS_FRAME, ControlledFrameSystem, FrameCertificate,
+from .frames import (ControlledFrameSystem, FrameCertificate, _bound_status,
                      frame_system)
 from .module_space import ModuleSpace, ModuleVector, make_space
 from .operators import ModuleOperator, scalar_operator
 
 _EQ_RTOL = 1e-12
+# Largest truncation length build_example accepts; its arrays grow as n^2.
+_N_MAX = 1001
 # Array elements per chunk of sampled vectors in example_certificate.
 _CHUNK_ELEMS = 1 << 16
 
@@ -68,11 +70,13 @@ def build_example(n_max: int, alpha: float, beta: float) -> ExampleSystem:
     """Assemble the truncated sequence system.
 
     n_max is the truncation length (at least 3 so the family is
-    nonempty); alpha and beta must be positive, and alpha, beta and
-    alpha beta finite.
+    nonempty, at most _N_MAX); alpha and beta must be positive, and
+    alpha, beta and alpha beta finite.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 3:
         raise BadParameters("truncation length must be an integer >= 3")
+    if n_max > _N_MAX:
+        raise BadParameters(f"truncation length must be at most {_N_MAX}")
     if not (alpha > 0 and beta > 0):
         raise BadParameters("control scalars must be positive")
     try:
@@ -217,7 +221,8 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
     nominal sqrt(alpha beta)/sqrt(k) scaling is evaluated against the
     same equality and flagged when it fails.  Fibers the comparison
     form never touches carry the largest fitted value and are listed as
-    vacuous.  identity_residual is the worst example_sum_identity
+    vacuous.  The status applies certify's rule to these lower and
+    upper elements.  identity_residual is the worst example_sum_identity
     residual over the first samples of those vectors (0.0 for none).
     """
     ab = es.alpha * es.beta
@@ -263,13 +268,14 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
     fitted_el = AlgebraElement(alg, fitted)
     nominal_el = AlgebraElement(alg, nominal)
     upper = alg.element(np.full(es.n_max, np.sqrt(ab), dtype=np.complex128))
+    lower = AlgebraElement(alg, lower_vals)
     cert = FrameCertificate(
-        lower=AlgebraElement(alg, lower_vals),
+        lower=lower,
         upper=upper,
         tight=eq_res <= _EQ_RTOL,
         lower_residual=max(eq_res, 0.0),
         upper_residual=max(-bessel_slack, 0.0),
-        status=STATUS_FRAME,
+        status=_bound_status(alg_is_strictly_nonzero(lower), upper),
         vacuous=vacuous,
     )
     return ExampleCertificate(

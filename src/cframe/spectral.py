@@ -49,15 +49,34 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a matrix, or of each matrix in a stack."""
-    return np.linalg.norm(m, axis=(-2, -1))
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    A norm that overflows is taken again after dividing by the largest
+    modulus, so entries beyond 1e154 keep a finite scale.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=(-2, -1))
+    if np.isinf(norms).any():
+        big = np.abs(m).max(axis=(-2, -1))
+        big = np.where(big > 0.0, big, 1.0)  # a zero matrix keeps norm 0
+        norms = big * np.linalg.norm(m / big[..., None, None], axis=(-2, -1))
+    return norms
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float) -> np.ndarray:
     scale = np.maximum(1.0, _norms(m))
     if np.any(_norms(m - _adjoint(m)) > tol * scale):
-        raise NotHermitian(f"{name} is not Hermitian within tolerance")
+        raise NotHermitian(f"{name} is not Hermitian")
     return hermitian_part(m)
+
+
+def _require_definite(m: np.ndarray, name: str):
+    """eigh of a Hermitian m (or stack) whose smallest eigenvalues all
+    exceed _CHECK_RTOL max(1, |m|_F); else NotDefinite names m."""
+    lam, u = np.linalg.eigh(m)
+    if np.any(lam[..., 0] <= _CHECK_RTOL * np.maximum(1.0, _norms(m))):
+        raise NotDefinite(f"{name} is not positive definite")
+    return lam, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +108,7 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     NotHermitian
         If a matrix of p (or g) fails the symmetry check.
     NotDefinite
-        If a matrix of g is not positive definite: its smallest
-        eigenvalue is at most _CHECK_RTOL * max(1, its Frobenius norm).
+        If a matrix of g fails _require_definite.
     NotFinite
         If a matrix of p, or of the reduced L^-1 P L^-H, is not finite.
     """
@@ -98,9 +116,7 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     g = _require_hermitian(_as_matrix(g, "G", stacked=True), "G", _CHECK_RTOL)
     if p.shape != g.shape:
         raise ValueError("P and G must have the same shape")
-    gscale = np.maximum(1.0, _norms(g))
-    if np.any(np.linalg.eigvalsh(g)[..., 0] <= _CHECK_RTOL * gscale):
-        raise NotDefinite("G is not positive definite")
+    _require_definite(g, "G")
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -164,15 +180,14 @@ def pencil_extremes(p, g) -> PencilResult:
     )
 
 
-def _require_psd(m: np.ndarray, name: str, tol: float) -> np.ndarray:
-    m = _require_hermitian(m, name, tol)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.eigvalsh(m)[0] < -tol * scale:
+def _require_psd(m: np.ndarray, name: str) -> np.ndarray:
+    m = _require_hermitian(m, name, _CHECK_RTOL)
+    if np.linalg.eigvalsh(m)[0] < -_CHECK_RTOL * max(1.0, float(_norms(m))):
         raise NotPSD(f"{name} is not positive semidefinite within tolerance")
     return m
 
 
-def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL) -> float:
+def restricted_pencil_min(p, g) -> float:
     """Infimum of x^H P x / x^H G x over all x with x^H G x > 0.
 
     Both matrices must be Hermitian PSD.  When G is definite this equals
@@ -180,19 +195,18 @@ def restricted_pencil_min(p, g, *, tol: float = _CHECK_RTOL) -> float:
     the kernel directions of G still enter the numerator, so the
     infimum is taken after eliminating them: the value is the smallest
     eigenvalue of the Schur complement of P onto range(G), measured
-    against G there.  Returns +inf when G vanishes (empty constraint
-    set).
+    against G there.  Returns +inf exactly when G has no positive
+    eigenvalue (empty constraint set).
     """
-    p = _require_psd(_as_matrix(p, "P"), "P", tol)
-    g = _require_psd(_as_matrix(g, "G"), "G", tol)
+    p = _require_psd(_as_matrix(p, "P"), "P")
+    g = _require_psd(_as_matrix(g, "G"), "G")
     if p.shape != g.shape:
         raise ValueError("P and G must have the same shape")
 
     lam, u = np.linalg.eigh(g)
-    gmax = float(lam[-1]) if lam.size else 0.0
-    if gmax <= max(_RANK_RTOL, tol * max(1.0, float(np.linalg.norm(g)))):
+    if not lam.size or lam[-1] <= 0.0:
         return float("inf")
-    keep = lam > _RANK_RTOL * gmax
+    keep = lam > _RANK_RTOL * lam[-1]
     u_r = u[:, keep]
     lam_r = lam[keep]
     if not np.all(keep):

@@ -791,3 +791,62 @@ def test_fuzzed_documents_end_in_a_report_or_a_json_error(data):
             code, out = run_strict(command + [path, "--samples", "20"])
             assert code in (0, 1, 2)
             assert ("error" in out) == (code == 1)
+
+
+# -- vacuity, overflow-safe scales and the example's derived status --------
+
+def skewed_doc(scale):
+    """C does not commute with T^* T = diag(1, 4) scale^2, so Phi is
+    skew and the system is not a frame at any scale."""
+    return {"algebra": {"d": 1}, "space": {"fibers": [{"dim": 2}]},
+            "operators": {"T": [[[scale, 0], [0, 2 * scale]]],
+                          "C": [[[2, 1], [1, 2]]]},
+            "frame": {"family": ["T"], "control": "C"}}
+
+
+@pytest.mark.parametrize("command", ["certify", "bounds"])
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_skew_verdict_survives_overflowing_scales(tmp_path, command, scale):
+    code, out = run_strict([command, write_doc(tmp_path, skewed_doc(scale))])
+    assert code == 2
+    assert out["result"]["status"] == "not_frame"
+
+
+@pytest.mark.parametrize("command", ["certify", "bounds"])
+def test_fiber_with_zero_forms_is_vacuous_for_both_bounds(tmp_path, command):
+    doc = {"algebra": {"d": 2}, "space": {"fibers": [{"dim": 2}, {"dim": 2}]},
+           "operators": {"P": [eye_json(2), diag_json(0.0, 0.0)]},
+           "frame": {"family": ["P"], "comparison": "P"}}
+    code, out = run_strict([command, write_doc(tmp_path, doc)])
+    assert code == 0
+    res = out["result"]
+    assert res["status"] == "frame"
+    assert res["upper"] == [[1.0, 0.0], [1.0, 0.0]]
+    assert res["vacuous_fibers"] == [1]
+
+
+def test_small_comparison_form_is_not_vacuous(tmp_path):
+    doc = {"algebra": {"d": 2}, "space": {"fibers": [{"dim": 1}, {"dim": 1}]},
+           "operators": {"T": [[[1.0]], [[1e-6]]],
+                         "K": [[[1.0]], [[3.1622776601683795e-05]]]},
+           "frame": {"family": ["T"], "comparison": "K"}}
+    code, out = run_strict(["certify", write_doc(tmp_path, doc)])
+    assert code == 0
+    assert out["result"]["vacuous_fibers"] == []
+    # Phi_1 / Gamma_1 = 1e-12 / 1e-9
+    assert out["result"]["lower"][1][0] == pytest.approx(np.sqrt(1e-3),
+                                                         rel=1e-12)
+
+
+def test_example_below_eps_nz_is_not_a_frame(capsys):
+    code, out = run_json(capsys, ["example", "--alpha", "1e-10", "--beta",
+                                  "1e-10", "--n", "9"])
+    assert code == 2
+    assert out["result"]["status"] == "not_frame"
+
+
+def test_example_length_is_bounded(capsys):
+    code, out = run_json(capsys, ["example", "--n", "1000000000"])
+    assert code == 1
+    assert out["error"] == {"type": "BadParameters",
+                            "message": "truncation length must be at most 1001"}

@@ -780,3 +780,61 @@ def test_operator_spectrum_matches_scipy_pencils():
             for w, b in zip(sysr.space.weights, s.blocks)]
     assert lo == pytest.approx(min(v[0] for v in want), rel=1e-10)
     assert hi == pytest.approx(max(v[-1] for v in want), rel=1e-10)
+
+
+# -- vacuity: a fiber is vacuous exactly when Gamma_j has no positive
+# eigenvalue, and a certified lower bound holds at every fiber ------------
+
+def assert_valid_lower(sysm, cert):
+    forms = sysm.forms
+    vacuous = []
+    for j, (phi, gamma) in enumerate(zip(forms.phi, forms.gamma)):
+        a2 = float(np.abs(cert.lower.values[j]) ** 2)
+        slack = np.linalg.eigvalsh(phi - a2 * gamma)[0]
+        scale = max(np.linalg.norm(phi), a2 * np.linalg.norm(gamma))
+        assert slack >= -1e-12 * scale
+        if np.linalg.eigvalsh(gamma)[-1] <= 0.0:
+            vacuous.append(j)
+    assert cert.vacuous == tuple(vacuous)
+
+
+def test_certify_lower_at_a_small_comparison_form():
+    # Phi_1 = 1e-12 and Gamma_1 = 1e-9: the lower bound there is
+    # sqrt(1e-3), and the fiber is not vacuous
+    space = make_space(Algebra(2), [1, 1])
+    t = ModuleOperator(space, space, (np.eye(1), 1e-6 * np.eye(1)))
+    k = ModuleOperator(space, space,
+                       (np.eye(1), 3.1622776601683795e-05 * np.eye(1)))
+    sysm = frame_system(space, [t], comparison=k)
+    cert = certify(sysm)
+    phi = frame_form_matrix(sysm, 1)[0, 0].real
+    gamma = comparison_form_matrix(sysm, 1)[0, 0].real
+    assert cert.status == STATUS_FRAME
+    assert cert.vacuous == ()
+    assert abs(cert.lower.values[1]) == pytest.approx(np.sqrt(phi / gamma),
+                                                      rel=1e-12)
+    assert_valid_lower(sysm, cert)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_certify_lower_does_not_depend_on_scale(c):
+    space = make_space(Algebra(2), [2, 3])
+    sysm = frame_system(space, [scalar_operator(space, 0.5 * c)],
+                        comparison=scalar_operator(space, c))
+    cert = certify(sysm)
+    np.testing.assert_allclose(np.abs(cert.lower.values), [0.5, 0.5],
+                               rtol=1e-12)
+    assert cert.status == STATUS_FRAME
+    assert_valid_lower(sysm, cert)
+
+
+def test_fiber_with_zero_frame_and_comparison_forms_bounds_nothing():
+    space = make_space(Algebra(2), [2, 2])
+    proj = ModuleOperator(space, space, (np.eye(2), np.zeros((2, 2))))
+    sysm = frame_system(space, [proj], comparison=proj)
+    cert = certify(sysm)
+    assert cert.status == STATUS_FRAME
+    assert cert.vacuous == (1,)
+    np.testing.assert_array_equal(cert.upper.values, [1.0, 1.0])
+    np.testing.assert_array_equal(cert.lower.values, [1.0, 1.0])
+    assert_valid_lower(sysm, cert)

@@ -181,3 +181,15 @@ def test_vector_arithmetic():
     np.testing.assert_array_equal(d.parts[0], [1.0, 2.0 - 1.0j])
     t = 2.0 * x
     np.testing.assert_array_equal(t.parts[0], [2.0, 4.0])
+
+
+@pytest.mark.parametrize("weight, error, message", [
+    (np.ones((2, 3)), ValueError, "weight must be a square matrix"),
+    ([[1.0, 1.0], [0.0, 1.0]], NotHermitian, "weight is not Hermitian"),
+    ([[1.0, 0.0], [0.0, 1e-11]], NotDefinite,
+     "weight is not positive definite"),
+])
+def test_weight_errors_name_the_fiber(weight, error, message):
+    with pytest.raises(error) as exc:
+        make_space(Algebra(2), [1, (2, weight)])
+    assert str(exc.value) == f"fiber 1: {message}"

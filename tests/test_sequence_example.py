@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cframe import (ModuleVector, build_example, as_system,
+from cframe import (ModuleVector, build_example, as_system, certify,
                     closed_form_element, comparison_form_element,
                     example_certificate, example_sum_identity,
                     family_form_element, frame_operator, inner_product)
@@ -270,3 +270,24 @@ def test_certificate_chunks_equal_one_draw(monkeypatch, n, samples):
     for field in ("identity_residual", "equality_residual",
                   "nominal_residual", "bessel_min_slack"):
         assert getattr(chunked, field) == getattr(whole, field)
+
+
+# -- the status is derived from the bound elements ---------------------------
+
+@pytest.mark.parametrize("n, alpha, beta, status", [
+    (9, 1e-10, 1e-10, "not_frame"),   # upper 1e-10 is below eps_nz
+    (11, 1e-15, 1.0, "bessel_only"),  # lower sqrt(1e-15/11) is below it
+    (9, ALPHA, BETA, "frame"),
+])
+def test_certificate_status_follows_the_bounds(n, alpha, beta, status):
+    es = build_example(n, alpha, beta)
+    assert example_certificate(es).certificate.status == status
+    if status == "not_frame":
+        assert certify(as_system(es)).status == status
+
+
+def test_truncation_length_is_bounded():
+    with pytest.raises(BadParameters, match="at most 1001"):
+        build_example(1002, 1.0, 1.0)
+    with pytest.raises(BadParameters, match="at most 1001"):
+        build_example(10 ** 9, 1.0, 1.0)

@@ -8,7 +8,7 @@ import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
-from cframe.spectral import fiberwise_pencil_eigvals, pencil_eigh
+from cframe.spectral import _norms, fiberwise_pencil_eigvals, pencil_eigh
 from cframe.testing import random_hpd
 
 # Frozen outputs of oracle_sup_psd below for the seeded 3x3 case.  The
@@ -350,3 +350,38 @@ def test_pinv_moore_penrose_conditions():
             np.testing.assert_allclose(p @ m @ p, p, atol=1e-10)
             np.testing.assert_allclose((m @ p).conj().T, m @ p, atol=1e-10)
             np.testing.assert_allclose((p @ m).conj().T, p @ m, atol=1e-10)
+
+
+# -- one exact vacuity rule ----------------------------------------------
+
+@pytest.mark.parametrize("a", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("b", [1e-12, 1.0, 1e12])
+def test_restricted_min_scales_as_p_over_g(a, b):
+    # no absolute floor: scaling P by a and G by b scales the value by a/b
+    rng = np.random.default_rng(515)
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        rank = n if trial % 2 else int(rng.integers(1, n))
+        p = random_psd(rng, n)
+        g = random_psd(rng, n, rank=rank)
+        want = a / b * restricted_pencil_min(p, g)
+        assert restricted_pencil_min(a * p, b * g) == pytest.approx(
+            want, rel=1e-10)
+    assert restricted_pencil_min(a * np.eye(3), b * np.zeros((3, 3))) == np.inf
+
+
+def test_restricted_min_is_finite_for_any_positive_eigenvalue():
+    g = 1e-20 * np.diag([1.0, 0.0])
+    assert restricted_pencil_min(np.eye(2), g) == pytest.approx(1e20,
+                                                                rel=1e-12)
+
+
+def test_norms_survive_overflow_and_keep_zero():
+    stack = np.zeros((3, 2, 2), dtype=np.complex128)
+    stack[0] = np.diag([3e200, 4e200])
+    stack[2] = [[3.0, 4.0], [0.0, 0.0]]
+    got = _norms(stack)
+    assert got[0] == pytest.approx(5e200, rel=1e-15)
+    assert got[1] == 0.0
+    assert got[2] == 5.0
+    assert _norms(stack[0]) == got[0]
