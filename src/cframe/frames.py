@@ -14,10 +14,15 @@ lower bound against the comparison form with its kernel excluded.
 Certificates are recomputed quantities, never trusted inputs; check_at
 re-evaluates the inequality at any vector.
 
-The per-fiber forms (the weight W_j, the frame form Phi_j raw and
+The fiber forms (the weight W_j, the frame form Phi_j raw and
 Hermitian, the comparison form Gamma_j) are built once per system, on
-first use, as read-only arrays in `ControlledFrameSystem.forms`; the
-bounds, the certificate checks and the pointwise checks all read them.
+first use, in `ControlledFrameSystem.forms`: one read-only stack per
+group of fibers of equal dimension (`ModuleSpace.groups`), built by
+stacked matmuls that give each fiber's matrix bit for bit, with
+read-only per-fiber views into the stacks.  The optimal bounds solve
+the pencils and the restricted infima once per group, check_at
+evaluates the three forms of a group in one stacked product, and the
+certificate checks read the per-fiber views.
 
 The commutation flags of a system (C with C', C and C' with every
 T_i^* T_i, C and C' with K) are checked in one stacked pass when the
@@ -35,20 +40,21 @@ NotFinite naming the operator, so no SVD sees a non-finite stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import (AlgebraElement, alg_is_positive,
                       alg_is_strictly_nonzero)
-from .errors import (LengthMismatch, NotCommuting, NotGLPlus,
-                     SingularFrameOperator, SpaceMismatch)
-from .module_space import ModuleSpace, ModuleVector, _frozen, module_norm
-from .operators import (ModuleOperator, adjoint_gram_matrix, identity,
-                        op_adjoint, op_classify, op_compose, op_sqrt)
-from .spectral import (_finite, _norms, fiberwise_pencil_eigvals,
-                       hermitian_part, restricted_pencil_min, size_groups)
+from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
+                     NotGLPlus, SingularFrameOperator, SpaceMismatch)
+from .module_space import ModuleSpace, ModuleVector, module_norm
+from .operators import (ModuleOperator, identity, op_adjoint, op_classify,
+                        op_compose, op_sqrt)
+from .spectral import (_adjoint, _finite, _norms, fiberwise_pencil_eigvals,
+                       grouped_pencil_eigvals, hermitian_part,
+                       restricted_pencil_mins)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -59,6 +65,9 @@ _TIGHT_RTOL = 1e-8
 _SKEW_RTOL = 1e-8
 _VERIFY_TOL = 1e-9
 _RECONSTRUCT_RTOL = 1e-9
+# certify and verify_bounds draw samples x sum(dims) complex values at
+# once (16 bytes each), so this caps the draw at 512 MiB.
+_MAX_SAMPLE_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class _FiberStacks:
     """
 
     def __init__(self, space: ModuleSpace):
-        self.groups = size_groups(space.weights)
+        self.groups = space.groups
         d = range(len(space.dims))
         self.weight = self.stack(space.weights)
         self.weight_inv = self.stack([space.weight_inv(j) for j in d])
@@ -227,27 +236,49 @@ def frame_system(space: ModuleSpace, family, control=None, control_prime=None,
 
 @dataclass(frozen=True, eq=False)
 class FiberForms:
-    """Form matrices of one system, one read-only array per fiber.
+    """Form matrices of one system, one read-only stack per fiber group.
 
+    groups: the fiber indices of each dimension group (space.groups),
+        as read-only index arrays.
+    stacks: per group, one (4, g, n, n) array that holds phi_raw, gamma,
+        weight and phi of the group's g fibers, in that order; check_at
+        evaluates the first three in one stacked matmul.
+
+    The per-fiber forms are read-only (n, n) views into the stacks:
     weight: W_j, the form of <x, x>.
     phi_raw: C'^H (sum M^H W M) C, the form of sum_i <T_i C x, T_i C' x>.
     phi: the Hermitian part of phi_raw.
     gamma: the form of <K* x, K* x>.
     """
 
-    weight: tuple[np.ndarray, ...]
-    phi_raw: tuple[np.ndarray, ...]
-    phi: tuple[np.ndarray, ...]
-    gamma: tuple[np.ndarray, ...]
+    groups: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
+    phi_raw: tuple[np.ndarray, ...] = field(init=False)
+    gamma: tuple[np.ndarray, ...] = field(init=False)
+    weight: tuple[np.ndarray, ...] = field(init=False)
+    phi: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self):
+        views: list = [[None] * sum(map(len, self.groups)) for _ in range(4)]
+        for idx, stack in zip(self.groups, self.stacks):
+            idx.setflags(write=False)
+            stack.setflags(write=False)
+            for form, mats in zip(views, stack):
+                for j, m in zip(idx, mats):
+                    form[j] = m
+        for name, form in zip(("phi_raw", "gamma", "weight", "phi"), views):
+            object.__setattr__(self, name, tuple(form))
 
     @cached_property
     def phi_spectrum(self) -> tuple[np.ndarray, ...]:
         """Eigenvalues of the pencil (phi_j, W_j) per fiber, ascending.
 
-        Solved on first use, one stacked solve per fiber dimension;
-        both optimal bounds read it.
+        Solved on first use, one stacked solve per fiber group; both
+        optimal bounds read it.
         """
-        return fiberwise_pencil_eigvals(self.phi, self.weight)
+        return grouped_pencil_eigvals(self.groups,
+                                      [s[3] for s in self.stacks],
+                                      [s[2] for s in self.stacks])
 
 
 def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
@@ -262,20 +293,44 @@ def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
 
 
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
-    phi_raw, phi, gamma = [], [], []
+    """The forms of every group, each a stacked copy of the per-fiber
+    products: acc += M^H W M, then C'^H acc C; Gamma is the Hermitian
+    part of V M W^-1 M^H V, as in adjoint_gram_matrix."""
+    fibers = _FiberStacks(sys.space)
+    accs = [np.zeros_like(w) for w in fibers.weight]
+    stacks = []
     # Overflow is caught by the finite checks, which raise NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(sys.space.dims)):
-            raw = (sys.control_prime.blocks[j].conj().T
-                   @ family_gram_matrix(sys, j) @ sys.control.blocks[j])
-            what = f"frame form Phi at fiber {j}"
-            phi_raw.append(_frozen(_finite(raw, what)))
-            phi.append(_frozen(_finite(hermitian_part(raw), what)))
-            g = adjoint_gram_matrix(sys.comparison, j)
-            what = f"comparison form Gamma at fiber {j}"
-            gamma.append(_frozen(_finite(g, what)))
-    return FiberForms(weight=sys.space.weights, phi_raw=tuple(phi_raw),
-                      phi=tuple(phi), gamma=tuple(gamma))
+        for t in sys.family:
+            # One member's stacks are alive at a time.
+            for acc, m, w in zip(accs, fibers.stack(t.blocks), fibers.weight):
+                acc += _adjoint(m) @ w @ m
+        for acc, w, winv, c, cp, k in zip(
+                accs, fibers.weight, fibers.weight_inv,
+                fibers.stack(sys.control.blocks),
+                fibers.stack(sys.control_prime.blocks),
+                fibers.stack(sys.comparison.blocks)):
+            raw = _adjoint(cp) @ acc @ c
+            gamma = hermitian_part(w @ k @ winv @ _adjoint(k) @ w)
+            stacks.append(np.stack([raw, gamma, w, hermitian_part(raw)]))
+    _require_finite_forms(fibers.groups, stacks)
+    groups = tuple(np.array(idx) for idx in fibers.groups)
+    return FiberForms(groups=groups, stacks=tuple(stacks))
+
+
+def _require_finite_forms(groups, stacks) -> None:
+    """NotFinite naming the lowest fiber whose Phi (raw or Hermitian) or
+    Gamma is not finite, Phi before Gamma."""
+    bad: dict[int, str] = {}
+    for idx, stack in zip(groups, stacks):
+        finite = np.isfinite(stack).all(axis=(2, 3))
+        phi_ok = finite[0] & finite[3]
+        for i in np.flatnonzero(~(phi_ok & finite[1])):
+            bad[idx[i]] = ("frame form Phi" if not phi_ok[i]
+                           else "comparison form Gamma")
+    if bad:
+        j = min(bad)
+        raise NotFinite(f"{bad[j]} at fiber {j} is not finite")
 
 
 def frame_form_matrix(sys: ControlledFrameSystem, j: int, *,
@@ -388,26 +443,28 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
     is flagged vacuous and later filled with the largest feasible value.
     A fiber with infimum zero (or an indefinite frame form) admits no
     strictly nonzero bound, which fails the whole lower inequality.
+    Each fiber group costs one eigh of its Phi stack and one call of
+    restricted_pencil_mins, which gives restricted_pencil_min's values.
     """
     d = len(sys.space.dims)
     forms = sys.forms
-    infima: list[float] = []
-    vacuous: list[int] = []
-    failed: list[int] = []
-    for j, lam in enumerate(forms.phi_spectrum):
-        if lam[0] < -_SKEW_RTOL * max(1.0, abs(float(lam[-1]))):
-            # Frame form dips negative: no positive element fits below it.
-            infima.append(0.0)
-            failed.append(j)
+    spectrum = forms.phi_spectrum
+    # Frame form dips negative: no positive element fits below it.
+    dips = [lam[0] < -_SKEW_RTOL * max(1.0, abs(float(lam[-1])))
+            for lam in spectrum]
+    infima = [0.0] * d
+    for idx, stack in zip(forms.groups, forms.stacks):
+        rest = [i for i, j in enumerate(idx) if not dips[j]]
+        if not rest:
             continue
-        lam, u = np.linalg.eigh(forms.phi[j])
-        phi_psd = (u * np.clip(lam, 0.0, None)) @ u.conj().T
-        val = restricted_pencil_min(phi_psd, forms.gamma[j])
-        infima.append(val)
-        if val == np.inf:
-            vacuous.append(j)
-        elif val <= 0.0:
-            failed.append(j)
+        # One eigh of the group's Phi stack, then the PSD parts.
+        lam, u = np.linalg.eigh(stack[3][rest])
+        phi_psd = (u * np.clip(lam, 0.0, None)[:, None, :]) @ _adjoint(u)
+        for i, val in zip(rest, restricted_pencil_mins(phi_psd,
+                                                       stack[1][rest])):
+            infima[idx[i]] = val
+    vacuous = [j for j, v in enumerate(infima) if v == np.inf]
+    failed = [j for j, v in enumerate(infima) if dips[j] or v <= 0.0]
     finite = [v for v in infima if np.isfinite(v)]
     fill = np.sqrt(max(finite)) if finite else 1.0
     vals = np.zeros(d, dtype=np.complex128)
@@ -446,6 +503,15 @@ def _bound_status(lower_holds: bool, upper: AlgebraElement) -> str:
 
 
 def _sample_parts(space: ModuleSpace, count: int, seed: int) -> list:
+    """count standard complex normal columns per fiber, fiber by fiber.
+
+    Raises BadParameters, before drawing, when the draw would hold more
+    than _MAX_SAMPLE_ENTRIES values.
+    """
+    if count * sum(space.dims) > _MAX_SAMPLE_ENTRIES:
+        raise BadParameters(
+            f"{count} samples of {sum(space.dims)} coordinates exceed the "
+            f"limit of {_MAX_SAMPLE_ENTRIES} sampled values")
     rng = np.random.default_rng(seed)
     parts = []
     for n in space.dims:
@@ -553,6 +619,12 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
     )
 
 
+def _require_algebra(sys: ControlledFrameSystem, *elements) -> None:
+    if any(a.algebra != sys.space.algebra for a in elements):
+        raise SpaceMismatch(
+            "bound elements belong to a different algebra than the system")
+
+
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     lower_ok: bool
@@ -566,18 +638,24 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     """Evaluate the two-sided inequality at one vector.
 
     Builds all three algebra values of the inequality at x and tests
-    positivity of both slacks under the algebra tolerance.
+    positivity of both slacks under the algebra tolerance.  Each fiber
+    group costs two stacked matmuls: its (phi_raw, gamma, weight) stack
+    times x's parts, then the parts' adjoints times that.  Raises
+    SpaceMismatch unless x is in the system space and both bounds are
+    elements of its algebra.
     """
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
+    _require_algebra(sys, cert.lower, cert.upper)
     forms = sys.forms
-
-    def values(mats) -> np.ndarray:
-        return np.array([np.vdot(p, m @ p) for p, m in zip(x.parts, mats)])
-
-    mid = values(forms.phi_raw)
-    low = np.abs(cert.lower.values) ** 2 * values(forms.gamma).real
-    up = np.abs(cert.upper.values) ** 2 * values(forms.weight).real
+    vals = np.empty((3, len(x.parts)), dtype=np.complex128)
+    for idx, stack in zip(forms.groups, forms.stacks):
+        p = np.array([x.parts[j] for j in idx])[:, :, None]
+        # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
+        vals[:, idx] = (_adjoint(p) @ (stack[:3] @ p))[..., 0, 0]
+    mid, gam, wt = vals
+    low = np.abs(cert.lower.values) ** 2 * gam.real
+    up = np.abs(cert.upper.values) ** 2 * wt.real
     alg = sys.space.algebra
     slack_lower = AlgebraElement(alg, mid - low)
     slack_upper = AlgebraElement(alg, up - mid)
@@ -605,8 +683,10 @@ def verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
     batch verifies within _VERIFY_TOL.  The worst offending sample is
     returned as a witness when any violation exceeds it.  With samples=0
     nothing is sampled: the residual is 0.0 and there is no witness, as
-    in certify.
+    in certify.  Raises SpaceMismatch unless both bounds are elements
+    of the system's algebra.
     """
+    _require_algebra(sys, lower, upper)
     batches = _sample_parts(sys.space, samples, seed)
     low_sq = np.abs(lower.values) ** 2
     up_sq = np.abs(upper.values) ** 2

@@ -9,17 +9,21 @@ algebra-valued inner product reads, fiber by fiber,
 which is linear in the first slot and conjugate-linear in the second.
 All positivity and adjoint formulas downstream are stated against these
 weights, so the space precomputes W^(1/2), W^(-1/2) and W^(-1) once.
+It also groups its fibers by dimension once (`groups`); the frame forms
+and the commutation checks keep one stack per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
 from .errors import SpaceMismatch
-from .spectral import _as_matrix, _require_definite, _require_hermitian
+from .spectral import (_as_matrix, _require_definite, _require_hermitian,
+                       size_groups)
 
 _HERM_RTOL = 1e-12
 
@@ -77,6 +81,13 @@ class ModuleSpace:
 
     def __hash__(self):
         return hash((self.algebra, self.dims))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Fiber indices grouped by dimension, in order of first
+        appearance and ascending within a group; the unit of stacked
+        work (one (g, n, n) stack per group)."""
+        return tuple(tuple(idx) for idx in size_groups(self.weights))
 
     def weight_sqrt(self, j: int) -> np.ndarray:
         return self._w_sqrt[j]

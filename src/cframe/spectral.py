@@ -139,19 +139,30 @@ def size_groups(mats) -> list[list[int]]:
     return list(groups.values())
 
 
+def grouped_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
+    """pencil_eigh(ps[k], gs[k]) for the (m, n, n) stacks of each group k.
+
+    groups[k] lists the indices of the m pairs of stack k; the result
+    has one read-only row of eigenvalues per index, in index order.
+    """
+    out: list = [None] * sum(len(idx) for idx in groups)
+    for idx, p, g in zip(groups, ps, gs):
+        lam = pencil_eigh(p, g)
+        lam.setflags(write=False)
+        for j, row in zip(idx, lam):
+            out[j] = row
+    return tuple(out)
+
+
 def fiberwise_pencil_eigvals(ps, gs) -> tuple[np.ndarray, ...]:
     """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
 
     The pairs are stacked by matrix size, so each size costs one call.
     """
-    out: list = [None] * len(gs)
-    for idx in size_groups(gs):
-        lam = pencil_eigh(np.stack([ps[j] for j in idx]),
-                          np.stack([gs[j] for j in idx]))
-        lam.setflags(write=False)
-        for j, row in zip(idx, lam):
-            out[j] = row
-    return tuple(out)
+    groups = size_groups(gs)
+    return grouped_pencil_eigvals(
+        groups, [np.stack([ps[j] for j in idx]) for idx in groups],
+        [np.stack([gs[j] for j in idx]) for idx in groups])
 
 
 def pencil_extremes(p, g) -> PencilResult:
@@ -181,8 +192,10 @@ def pencil_extremes(p, g) -> PencilResult:
 
 
 def _require_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """Hermitian part of m (or of each matrix in a stack), checked PSD."""
     m = _require_hermitian(m, name, _CHECK_RTOL)
-    if np.linalg.eigvalsh(m)[0] < -_CHECK_RTOL * max(1.0, float(_norms(m))):
+    floor = -_CHECK_RTOL * np.maximum(1.0, _norms(m))
+    if np.any(np.linalg.eigvalsh(m)[..., 0] < floor):
         raise NotPSD(f"{name} is not positive semidefinite within tolerance")
     return m
 
@@ -222,6 +235,35 @@ def restricted_pencil_min(p, g) -> float:
     scaled = (s / np.sqrt(lam_r)[None, :]) / np.sqrt(lam_r)[:, None]
     val = float(np.linalg.eigvalsh(hermitian_part(scaled))[0])
     return max(val, 0.0)
+
+
+def restricted_pencil_mins(p, g) -> list[float]:
+    """restricted_pencil_min(p[i], g[i]) for two (m, n, n) stacks.
+
+    The pairs whose G keeps full rank, every eigenvalue above
+    _RANK_RTOL times the largest and that one positive, are solved in
+    one stacked call that repeats restricted_pencil_min's arithmetic
+    matrix by matrix, so the values agree bit for bit.  A G with a
+    kernel or without a positive eigenvalue goes through
+    restricted_pencil_min itself, which alone decides vacuity.
+    """
+    ps = _require_psd(_as_matrix(p, "P", stacked=True), "P")
+    gs = _require_psd(_as_matrix(g, "G", stacked=True), "G")
+    if ps.shape != gs.shape:
+        raise ValueError("P and G must have the same shape")
+    lam, u = np.linalg.eigh(gs)
+    full = (lam[:, -1] > 0.0) & (lam[:, 0] > _RANK_RTOL * lam[:, -1])
+    out = [restricted_pencil_min(p[i], g[i]) if not keep else None
+           for i, keep in enumerate(full)]
+    if full.any():
+        lam_r, u_r = lam[full], u[full]
+        s = _adjoint(u_r) @ ps[full] @ u_r
+        root = np.sqrt(lam_r)
+        scaled = (s / root[:, None, :]) / root[:, :, None]
+        vals = np.linalg.eigvalsh(hermitian_part(scaled))[:, 0]
+        for i, val in zip(np.flatnonzero(full), vals):
+            out[i] = max(float(val), 0.0)
+    return out
 
 
 def pinv(m) -> np.ndarray:

@@ -466,6 +466,24 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     assert "--seed" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", golden("identity_system.json")],
+    ["transform", "q", None],
+    ["selftest"],
+])
+def test_sample_draw_beyond_the_limit_is_a_json_error(tmp_path, capsys,
+                                                      command):
+    # 10**8 samples of 3 or 5 coordinates would need 5 to 8 GB; the
+    # draw is refused before anything is allocated
+    command = [write_doc(tmp_path, task_doc()) if arg is None else arg
+               for arg in command]
+    code, out = run_strict(command + ["--samples", "100000000"])
+    assert code == 1
+    assert out["error"]["type"] == "BadParameters"
+    assert "exceed the limit of 33554432 sampled values" in (
+        out["error"]["message"])
+
+
 def test_selftest_without_samples_passes(capsys):
     code, out = run_json(capsys, ["selftest", "--samples", "0"])
     assert code == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,10 +16,15 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     scalar_operator, synthesis, verify_bounds,
                     with_comparison, with_controls, with_family,
                     zero_operator)
-from cframe.errors import (NotCommuting, NotFinite, NotGLPlus,
+from cframe.algebra import alg_is_positive
+from cframe.errors import (BadParameters, NotCommuting, NotFinite, NotGLPlus,
                            SingularFrameOperator, SpaceMismatch)
+import cframe.frames
 import cframe.spectral
-from cframe.frames import _COMMUTE_RTOL, _operator_spectrum
+from cframe.frames import _COMMUTE_RTOL, _SKEW_RTOL, _operator_spectrum
+from cframe.operators import adjoint_gram_matrix
+from cframe.spectral import (_finite, fiberwise_pencil_eigvals,
+                             hermitian_part, restricted_pencil_min)
 from cframe.transforms import compose_with_q
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
                             random_space, random_system, random_vector,
@@ -838,3 +845,208 @@ def test_fiber_with_zero_frame_and_comparison_forms_bounds_nothing():
     np.testing.assert_array_equal(cert.upper.values, [1.0, 1.0])
     np.testing.assert_array_equal(cert.lower.values, [1.0, 1.0])
     assert_valid_lower(sysm, cert)
+
+
+# -- group stacks against the per-fiber reference ---------------------------
+
+def build_forms_reference(sysm):
+    """The per-fiber form loop: the reference for the group stacks."""
+    phi_raw, phi, gamma = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(sysm.space.dims)):
+            raw = (sysm.control_prime.blocks[j].conj().T
+                   @ family_gram_matrix(sysm, j) @ sysm.control.blocks[j])
+            what = f"frame form Phi at fiber {j}"
+            phi_raw.append(_finite(raw, what))
+            phi.append(_finite(hermitian_part(raw), what))
+            what = f"comparison form Gamma at fiber {j}"
+            gamma.append(_finite(adjoint_gram_matrix(sysm.comparison, j),
+                                 what))
+    return {"weight": sysm.space.weights, "phi_raw": phi_raw, "phi": phi,
+            "gamma": gamma}
+
+
+def lower_bound_reference(sysm):
+    """(infima, vacuous, failed) fiber by fiber with restricted_pencil_min."""
+    forms = sysm.forms
+    infima, vacuous, failed = [], [], []
+    for j, lam in enumerate(forms.phi_spectrum):
+        if lam[0] < -_SKEW_RTOL * max(1.0, abs(float(lam[-1]))):
+            infima.append(0.0)
+            failed.append(j)
+            continue
+        lam, u = np.linalg.eigh(forms.phi[j])
+        phi_psd = (u * np.clip(lam, 0.0, None)) @ u.conj().T
+        val = restricted_pencil_min(phi_psd, forms.gamma[j])
+        infima.append(val)
+        if val == np.inf:
+            vacuous.append(j)
+        elif val <= 0.0:
+            failed.append(j)
+    return tuple(infima), tuple(vacuous), tuple(failed)
+
+
+def check_at_reference(sysm, cert, x):
+    """Slacks and verdicts from one vdot per fiber and form."""
+    forms = sysm.forms
+
+    def values(mats):
+        return np.array([np.vdot(p, m @ p) for p, m in zip(x.parts, mats)])
+
+    mid = values(forms.phi_raw)
+    low = np.abs(cert.lower.values) ** 2 * values(forms.gamma).real
+    up = np.abs(cert.upper.values) ** 2 * values(forms.weight).real
+    scale = np.abs(mid) + np.abs(low) + np.abs(up)
+    return mid - low, up - mid, scale
+
+
+def mixed_system(seed, controls):
+    """Dims [1, 3, 2, 3, 1] with HPD weights; Gamma_1 is singular (K has
+    rank 1 there) and fiber 4 has Phi_4 = Gamma_4 = 0."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, Algebra(5), [1, 3, 2, 3, 1], weights="random")
+    fam = []
+    for _ in range(3):
+        blocks = list(random_operator(rng, space).blocks)
+        blocks[4] = np.zeros((1, 1))
+        fam.append(ModuleOperator(space, space, tuple(blocks)))
+    k = list(random_operator(rng, space).blocks)
+    k[1] = np.outer(k[1][:, 0], k[1][0])
+    k[4] = np.zeros((1, 1))
+    c, cp = (positive_control(rng, space, controls) for _ in range(2))
+    return frame_system(space, fam, control=c, control_prime=cp,
+                        comparison=ModuleOperator(space, space, tuple(k)))
+
+
+def assert_stacks_match_references(sysm):
+    """Every form bit-identical to the per-fiber loop, and the lower
+    bound's infima, vacuous and failed fibers identical to it."""
+    forms = sysm.forms
+    want = build_forms_reference(sysm)
+    for name, mats in want.items():
+        got = getattr(forms, name)
+        assert len(got) == len(mats)
+        for g, m in zip(got, mats):
+            assert np.array_equal(g, m)
+    spectrum = fiberwise_pencil_eigvals(want["phi"], want["weight"])
+    for got, lam in zip(forms.phi_spectrum, spectrum):
+        assert np.array_equal(got, lam)
+    low = optimal_lower_bound(sysm)
+    infima, vacuous, failed = lower_bound_reference(sysm)
+    assert [v.hex() for v in low.infima] == [v.hex() for v in infima]
+    assert (low.vacuous, low.failed) == (vacuous, failed)
+    return low
+
+
+@pytest.mark.parametrize("seed", [40, 41])
+@pytest.mark.parametrize("controls", ["scalar", "hpd"])
+def test_group_stacks_equal_per_fiber_references(seed, controls):
+    sysm = mixed_system(seed, controls)
+    forms = sysm.forms
+    assert [tuple(idx) for idx in forms.groups] == [(0, 4), (1, 3), (2,)]
+    np.testing.assert_array_equal(forms.gamma[4], 0.0)
+    np.testing.assert_array_equal(forms.phi[4], 0.0)
+    assert np.linalg.matrix_rank(forms.gamma[1]) == 1
+    low = assert_stacks_match_references(sysm)
+    if controls == "scalar":
+        # Phi is PSD: fiber 4 is vacuous, fiber 1 takes the restricted
+        # infimum over range(Gamma_1), the rest the full-rank stack.
+        assert low.vacuous == (4,) and low.failed == ()
+
+
+@pytest.mark.parametrize("controls", ["scalar", "hpd"])
+def test_stacked_check_at_equals_per_fiber_vdot(controls):
+    sysm = mixed_system(42, controls)
+    cert = certify(sysm)
+    rng = np.random.default_rng(43)
+    for lower in (cert.lower, 1.5 * cert.lower):
+        probe = replace(cert, lower=lower)
+        for _ in range(50):
+            x = random_vector(rng, sysm.space)
+            rep = check_at(sysm, probe, x)
+            low, up, scale = check_at_reference(sysm, probe, x)
+            assert np.all(np.abs(rep.slack_lower.values - low)
+                          <= 1e-12 * scale)
+            assert np.all(np.abs(rep.slack_upper.values - up)
+                          <= 1e-12 * scale)
+            alg = sysm.space.algebra
+            assert rep.lower_ok == alg_is_positive(alg.element(low))
+            assert rep.upper_ok == alg_is_positive(alg.element(up))
+
+
+@settings(max_examples=60, deadline=None)
+@FLAG_SYSTEMS
+def test_random_group_stacks_equal_per_fiber_references(**drawn):
+    # Mixed dims, flat or HPD weights, every control and comparison kind.
+    assert_stacks_match_references(flag_system(**drawn))
+
+
+def overflow_system(phi_at_1):
+    """Dims [2, 1, 2, 1]: the dim-2 group is fibers 0 and 2, the dim-1
+    group fibers 1 and 3.  Phi_2 overflows (two members of 1.44e308
+    each), Gamma_1 overflows (weight 4), and with phi_at_1 Phi_1 too."""
+    space = make_space(Algebra(4), [2, (1, [[4.0]]), 2, 1])
+    big = 1.2e154
+    t = ModuleOperator(space, space, (
+        np.eye(2), np.array([[big if phi_at_1 else 1.0]]),
+        np.diag([big, 1.0]), np.eye(1)))
+    k = ModuleOperator(space, space, (np.eye(2), np.array([[big]]),
+                                      np.eye(2), np.eye(1)))
+    return frame_system(space, [t, t], comparison=k)
+
+
+@pytest.mark.parametrize("phi_at_1, form", [
+    (False, "comparison form Gamma"), (True, "frame form Phi")])
+def test_form_overflow_names_the_lowest_fiber(phi_at_1, form):
+    sysm = overflow_system(phi_at_1)
+    message = f"{form} at fiber 1 is not finite"
+    with pytest.raises(NotFinite) as ref:
+        build_forms_reference(sysm)
+    assert str(ref.value) == message
+    with pytest.raises(NotFinite) as err:
+        sysm.forms
+    assert str(err.value) == message
+
+
+# -- bound elements from another algebra and the sample limit -------------
+
+def mismatched_elements(d):
+    return Algebra(d).element(np.ones(d)), Algebra(d).element(2 * np.ones(d))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_verify_bounds_refuses_elements_of_another_algebra(d):
+    # d = 3 used to verify and drop the third coordinate, d = 1 to end
+    # in an IndexError
+    sysr = random_system(np.random.default_rng(44), d=2, dims=[2, 3], ops=2)
+    lower, upper = mismatched_elements(d)
+    with pytest.raises(SpaceMismatch):
+        verify_bounds(sysr, lower, upper)
+    cert = certify(sysr)
+    with pytest.raises(SpaceMismatch):
+        verify_bounds(sysr, cert.lower, upper)
+
+
+def test_check_at_refuses_a_certificate_of_another_algebra():
+    # used to end in a numpy broadcast ValueError
+    sysr = random_system(np.random.default_rng(45), d=2, dims=[2, 3], ops=2)
+    cert = certify(sysr)
+    lower, upper = mismatched_elements(3)
+    x = random_vector(np.random.default_rng(46), sysr.space)
+    for probe in (replace(cert, lower=lower, upper=upper),
+                  replace(cert, upper=upper)):
+        with pytest.raises(SpaceMismatch):
+            check_at(sysr, probe, x)
+
+
+def test_sample_draw_above_the_limit_is_refused(monkeypatch):
+    # dims [2, 3]: 5 coordinates per sample, so 2 samples fit in 10
+    sysr = random_system(np.random.default_rng(47), d=2, dims=[2, 3], ops=2)
+    cert = certify(sysr, samples=2)
+    monkeypatch.setattr(cframe.frames, "_MAX_SAMPLE_ENTRIES", 10)
+    assert certify(sysr, samples=2).upper_residual == cert.upper_residual
+    verify_bounds(sysr, cert.lower, cert.upper, samples=2)
+    with pytest.raises(BadParameters, match="exceed the limit of 10"):
+        certify(sysr, samples=3)
+    with pytest.raises(BadParameters):
+        verify_bounds(sysr, cert.lower, cert.upper, samples=3)
