@@ -101,22 +101,33 @@ class _Operand:
 class _FiberStacks:
     """The fibers of a space grouped by dimension, with weight stacks.
 
-    Every product is associated as in op_adjoint, op_compose and
-    op_norm, and a stacked matmul or SVD treats each fiber as the
-    unstacked call does, so the results equal those of the operator
-    functions bit for bit.
+    The stacks of W^(1/2) and W^(-1/2) are built on first use, by the
+    first SVD.  Every product is associated as in op_adjoint,
+    op_compose and op_norm, and a stacked matmul or SVD treats each
+    fiber as the unstacked call does, so the results equal those of the
+    operator functions bit for bit.
     """
 
     def __init__(self, space: ModuleSpace):
         self.groups = space.groups
-        d = range(len(space.dims))
+        self._space = space
         self.weight = self.stack(space.weights)
-        self.weight_inv = self.stack([space.weight_inv(j) for j in d])
-        self.sqrt = self.stack([space.weight_sqrt(j) for j in d])
-        self.isqrt = self.stack([space.weight_isqrt(j) for j in d])
+        self.weight_inv = self._stack_of(space.weight_inv)
+
+    @cached_property
+    def sqrt(self) -> list[np.ndarray]:
+        return self._stack_of(self._space.weight_sqrt)
+
+    @cached_property
+    def isqrt(self) -> list[np.ndarray]:
+        return self._stack_of(self._space.weight_isqrt)
 
     def stack(self, mats) -> list[np.ndarray]:
         return [np.stack([mats[j] for j in idx]) for idx in self.groups]
+
+    def _stack_of(self, fiber_matrix) -> list[np.ndarray]:
+        return [np.stack([fiber_matrix(j) for j in idx])
+                for idx in self.groups]
 
     def operand(self, name: str, blocks) -> _Operand:
         return _Operand(name, self.stack(blocks), self)
@@ -238,8 +249,8 @@ def frame_system(space: ModuleSpace, family, control=None, control_prime=None,
 class FiberForms:
     """Form matrices of one system, one read-only stack per fiber group.
 
-    groups: the fiber indices of each dimension group (space.groups),
-        as read-only index arrays.
+    groups: the fiber indices of each dimension group, the space's own
+        ModuleSpace.groups.
     stacks: per group, one (4, g, n, n) array that holds phi_raw, gamma,
         weight and phi of the group's g fibers, in that order; check_at
         evaluates the first three in one stacked matmul.
@@ -251,7 +262,7 @@ class FiberForms:
     gamma: the form of <K* x, K* x>.
     """
 
-    groups: tuple[np.ndarray, ...]
+    groups: tuple[tuple[int, ...], ...]
     stacks: tuple[np.ndarray, ...]
     phi_raw: tuple[np.ndarray, ...] = field(init=False)
     gamma: tuple[np.ndarray, ...] = field(init=False)
@@ -261,7 +272,6 @@ class FiberForms:
     def __post_init__(self):
         views: list = [[None] * sum(map(len, self.groups)) for _ in range(4)]
         for idx, stack in zip(self.groups, self.stacks):
-            idx.setflags(write=False)
             stack.setflags(write=False)
             for form, mats in zip(views, stack):
                 for j, m in zip(idx, mats):
@@ -314,8 +324,7 @@ def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
             gamma = hermitian_part(w @ k @ winv @ _adjoint(k) @ w)
             stacks.append(np.stack([raw, gamma, w, hermitian_part(raw)]))
     _require_finite_forms(fibers.groups, stacks)
-    groups = tuple(np.array(idx) for idx in fibers.groups)
-    return FiberForms(groups=groups, stacks=tuple(stacks))
+    return FiberForms(groups=fibers.groups, stacks=tuple(stacks))
 
 
 def _require_finite_forms(groups, stacks) -> None:
@@ -648,11 +657,15 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
         raise SpaceMismatch("vector is not in the system space")
     _require_algebra(sys, cert.lower, cert.upper)
     forms = sys.forms
-    vals = np.empty((3, len(x.parts)), dtype=np.complex128)
+    chunks = []
     for idx, stack in zip(forms.groups, forms.stacks):
-        p = np.array([x.parts[j] for j in idx])[:, :, None]
+        p = np.array([x.parts[j] for j in idx])
         # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
-        vals[:, idx] = (_adjoint(p) @ (stack[:3] @ p))[..., 0, 0]
+        mp = stack[:3] @ p[..., None]
+        chunks.append((p.conj()[:, None, :] @ mp)[..., 0, 0])
+    # The chunks hold the fibers in group order; one store puts them back.
+    vals = np.empty((3, len(x.parts)), dtype=np.complex128)
+    vals[:, np.concatenate(forms.groups)] = np.concatenate(chunks, axis=1)
     mid, gam, wt = vals
     low = np.abs(cert.lower.values) ** 2 * gam.real
     up = np.abs(cert.upper.values) ** 2 * wt.real

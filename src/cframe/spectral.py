@@ -211,59 +211,52 @@ def restricted_pencil_min(p, g) -> float:
     against G there.  Returns +inf exactly when G has no positive
     eigenvalue (empty constraint set).
     """
-    p = _require_psd(_as_matrix(p, "P"), "P")
-    g = _require_psd(_as_matrix(g, "G"), "G")
-    if p.shape != g.shape:
-        raise ValueError("P and G must have the same shape")
-
-    lam, u = np.linalg.eigh(g)
-    if not lam.size or lam[-1] <= 0.0:
-        return float("inf")
-    keep = lam > _RANK_RTOL * lam[-1]
-    u_r = u[:, keep]
-    lam_r = lam[keep]
-    if not np.all(keep):
-        u_k = u[:, ~keep]
-        p_rr = u_r.conj().T @ p @ u_r
-        p_rk = u_r.conj().T @ p @ u_k
-        p_kk = u_k.conj().T @ p @ u_k
-        # PSD P guarantees range(P_kr) inside range(P_kk), so the Schur
-        # complement below is the exact minimum over kernel components.
-        s = p_rr - p_rk @ pinv(p_kk) @ p_rk.conj().T
-    else:
-        s = u.conj().T @ p @ u
-    scaled = (s / np.sqrt(lam_r)[None, :]) / np.sqrt(lam_r)[:, None]
-    val = float(np.linalg.eigvalsh(hermitian_part(scaled))[0])
-    return max(val, 0.0)
+    return restricted_pencil_mins(_as_matrix(p, "P")[None],
+                                  _as_matrix(g, "G")[None])[0]
 
 
 def restricted_pencil_mins(p, g) -> list[float]:
     """restricted_pencil_min(p[i], g[i]) for two (m, n, n) stacks.
 
-    The pairs whose G keeps full rank, every eigenvalue above
-    _RANK_RTOL times the largest and that one positive, are solved in
-    one stacked call that repeats restricted_pencil_min's arithmetic
-    matrix by matrix, so the values agree bit for bit.  A G with a
-    kernel or without a positive eigenvalue goes through
-    restricted_pencil_min itself, which alone decides vacuity.
+    One eigh of the G stack decides every pair.  The pairs whose G
+    keeps full rank, every eigenvalue above _RANK_RTOL times the largest
+    and that one positive, are solved in one stacked call; a G with a
+    kernel takes the Schur complement one pair at a time, and a G
+    without a positive eigenvalue gives +inf.
     """
     ps = _require_psd(_as_matrix(p, "P", stacked=True), "P")
     gs = _require_psd(_as_matrix(g, "G", stacked=True), "G")
     if ps.shape != gs.shape:
         raise ValueError("P and G must have the same shape")
     lam, u = np.linalg.eigh(gs)
-    full = (lam[:, -1] > 0.0) & (lam[:, 0] > _RANK_RTOL * lam[:, -1])
-    out = [restricted_pencil_min(p[i], g[i]) if not keep else None
-           for i, keep in enumerate(full)]
+    out = [float("inf")] * len(gs)
+    keep = lam > _RANK_RTOL * lam[..., -1:]
+    positive = lam[..., -1] > 0.0
+    full = positive & keep.all(axis=-1)
     if full.any():
-        lam_r, u_r = lam[full], u[full]
-        s = _adjoint(u_r) @ ps[full] @ u_r
-        root = np.sqrt(lam_r)
-        scaled = (s / root[:, None, :]) / root[:, :, None]
-        vals = np.linalg.eigvalsh(hermitian_part(scaled))[:, 0]
+        u_f = u[full]
+        vals = _range_mins(_adjoint(u_f) @ ps[full] @ u_f, lam[full])
         for i, val in zip(np.flatnonzero(full), vals):
-            out[i] = max(float(val), 0.0)
+            out[i] = val
+    for i in np.flatnonzero(positive & ~full):
+        u_r, u_k = u[i][:, keep[i]], u[i][:, ~keep[i]]
+        p_rr = _adjoint(u_r) @ ps[i] @ u_r
+        p_rk = _adjoint(u_r) @ ps[i] @ u_k
+        p_kk = _adjoint(u_k) @ ps[i] @ u_k
+        # PSD P guarantees range(P_kr) inside range(P_kk), so the Schur
+        # complement below is the exact minimum over kernel components.
+        s = p_rr - p_rk @ pinv(p_kk) @ _adjoint(p_rk)
+        out[i] = _range_mins(s[None], lam[i][keep[i]][None])[0]
     return out
+
+
+def _range_mins(s: np.ndarray, lam: np.ndarray) -> list[float]:
+    """Smallest eigenvalue of lam^(-1/2) S lam^(-1/2) per pair of a
+    stack, clamped at 0: the pencil (S, diag(lam)) in G's eigenbasis."""
+    root = np.sqrt(lam)
+    scaled = (s / root[:, None, :]) / root[:, :, None]
+    vals = np.linalg.eigvalsh(hermitian_part(scaled))[:, 0]
+    return [max(float(val), 0.0) for val in vals]
 
 
 def pinv(m) -> np.ndarray:

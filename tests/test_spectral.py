@@ -8,7 +8,8 @@ import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
-from cframe.spectral import _norms, fiberwise_pencil_eigvals, pencil_eigh
+from cframe.spectral import (_norms, fiberwise_pencil_eigvals, pencil_eigh,
+                             restricted_pencil_mins)
 from cframe.testing import random_hpd
 
 # Frozen outputs of oracle_sup_psd below for the seeded 3x3 case.  The
@@ -309,6 +310,21 @@ def test_restricted_min_definite_equals_pencil_min():
 
 def test_restricted_min_vacuous_denominator():
     assert restricted_pencil_min(np.eye(3), np.zeros((3, 3))) == np.inf
+
+
+def test_restricted_mins_stack_equals_single_calls_bitwise():
+    # full-rank, rank-deficient and zero comparison forms in one stack
+    rng = np.random.default_rng(512)
+    ps = [random_psd(rng, 4, rank=r) for r in (4, 2, 4, 3, 4, 1)]
+    gs = [random_psd(rng, 4, rank=r) for r in (4, 2, 0, 4, 3, 4)]
+    got = restricted_pencil_mins(np.stack(ps), np.stack(gs))
+    want = [restricted_pencil_min(p, g) for p, g in zip(ps, gs)]
+    assert got[2] == np.inf
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got[0] == pytest.approx(oracle_sup_psd(ps[0], gs[0]),
+                                   rel=1e-6, abs=1e-8)
+    assert got[1] == pytest.approx(oracle_sup_psd(ps[1], gs[1]),
+                                   rel=1e-6, abs=1e-8)
 
 
 def test_restricted_min_rejects_indefinite_g():
