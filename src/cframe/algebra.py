@@ -125,11 +125,15 @@ def alg_is_positive(a: AlgebraElement) -> bool:
     Coordinate j passes when |imag(a_j)| <= eps_pos * (1 + |a_j|) and
     real(a_j) >= -eps_pos * (1 + |a_j|).
     """
-    eps = a.algebra.eps_pos
-    slack = eps * (1.0 + np.abs(a.values))
-    imag_ok = np.abs(a.values.imag) <= slack
-    real_ok = a.values.real >= -slack
-    return bool(np.all(imag_ok & real_ok))
+    return bool(positive_rows(a.values, a.algebra.eps_pos))
+
+
+def positive_rows(values: np.ndarray, eps_pos: float) -> np.ndarray:
+    """alg_is_positive for each row of a (..., d) array of element values."""
+    slack = eps_pos * (1.0 + np.abs(values))
+    imag_ok = np.abs(values.imag) <= slack
+    real_ok = values.real >= -slack
+    return np.all(imag_ok & real_ok, axis=-1)
 
 
 def alg_is_strictly_nonzero(a: AlgebraElement) -> bool:

@@ -33,9 +33,16 @@ costs one stacked matmul pair per group, and a group whose commutator
 is exactly zero adds nothing without an SVD.  Only a nonzero numerator
 takes the stacked SVD of W^(1/2) D W^(-1/2), and only then are the two
 operand norms taken, each at most once.  commutation_residual runs the
-same residual on one pair, for the transform preconditions; identity
-and scalar controls run no SVD at all.  A product that overflows raises
-NotFinite naming the operator, so no SVD sees a non-finite stack.
+same residual on one pair, for the transform preconditions.  A product
+that overflows raises NotFinite naming the operator, so no SVD sees a
+non-finite stack.
+
+Real-scalar controls (c_j I with c_j real in every fiber, the identity
+among them) commute with every T_i^* T_i exactly.  Once a Frobenius
+screen on the member blocks rules out overflow, no T_i^* T_i is built;
+their other commutators are exactly zero too, so they run no SVD at
+all.  When the screen fails, the family loop runs as for any control
+and reports an overflowing T_i^* T_i as NotFinite naming the member.
 """
 
 from __future__ import annotations
@@ -45,8 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (AlgebraElement, alg_is_positive,
-                      alg_is_strictly_nonzero)
+from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
 from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
                      NotGLPlus, SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, module_norm
@@ -68,6 +74,9 @@ _RECONSTRUCT_RTOL = 1e-9
 # certify and verify_bounds draw samples x sum(dims) complex values at
 # once (16 bytes each), so this caps the draw at 512 MiB.
 _MAX_SAMPLE_ENTRIES = 1 << 25
+# Products the commutation screen admits stay below this, far from the
+# float64 overflow at about 1.8e308.
+_SCREEN_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,49 @@ def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
                                fibers.operand("y", y.blocks))
 
 
+def _real_scalars(op: ModuleOperator) -> np.ndarray | None:
+    """The real c_j with block j exactly c_j I in every fiber, else None."""
+    scalars = []
+    for b in op.blocks:
+        c = b[0, 0].real
+        if not np.array_equal(b, c * np.eye(len(b))):
+            return None
+        scalars.append(c)
+    return np.array(scalars)
+
+
+def _family_commutes_exactly(sys: ControlledFrameSystem) -> bool:
+    """Whether C and C' commute with every T_i^* T_i exactly, known
+    without forming T_i^* T_i.
+
+    True when both controls are real scalars c_j I and c'_j I and every
+    member block M_j passes the overflow screen
+
+        max(1, |c_j|, |c'_j|) max(1, |W_j|_F) |W_j^-1|_F max(1, |M_j|_F)^2
+            < _SCREEN_LIMIT.
+
+    Frobenius norms are submultiplicative, so the screen caps every
+    intermediate of ((W^-1 M^H) W) M and of its products with the
+    controls: T^* T is finite, and a real scalar times a finite matrix
+    is exact in either order, so each commutator is exactly zero.  A
+    NaN or infinite norm fails the screen, and then the family loop
+    runs and raises NotFinite as before.
+    """
+    c, cp = _real_scalars(sys.control), _real_scalars(sys.control_prime)
+    if c is None or cp is None:
+        return False
+    space = sys.space
+    scale = np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp)))
+    for j, w in enumerate(space.weights):
+        scale[j] *= max(1.0, np.linalg.norm(w)) * np.linalg.norm(
+            space.weight_inv(j))
+    for t in sys.family:
+        sq = np.array([np.vdot(m, m).real for m in t.blocks])
+        if not np.all(scale * np.maximum(1.0, sq) < _SCREEN_LIMIT):
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class ControlledFrameSystem:
     space: ModuleSpace
@@ -211,11 +263,12 @@ class ControlledFrameSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             worst = fibers.residual(c, cp)
             fam = 0.0
-            for i, t in enumerate(self.family):
-                # One member's T^* T stacks are alive at a time.
-                tt = fibers.gram_operand(f"family[{i}]", t.blocks)
-                fam = max(fam, fibers.residual(c, tt))
-                fam = max(fam, fibers.residual(cp, tt))
+            if not _family_commutes_exactly(self):
+                for i, t in enumerate(self.family):
+                    # One member's T^* T stacks are alive at a time.
+                    tt = fibers.gram_operand(f"family[{i}]", t.blocks)
+                    fam = max(fam, fibers.residual(c, tt))
+                    fam = max(fam, fibers.residual(cp, tt))
             kk = max(fibers.residual(c, k), fibers.residual(cp, k))
         return CommutationFlags(
             controls_commute=worst <= _COMMUTE_RTOL,
@@ -363,9 +416,12 @@ def comparison_form_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
 # -- frame operator and the analysis pair --------------------------------
 
 def frame_operator(sys: ControlledFrameSystem) -> ModuleOperator:
-    """S = sum_i C' T_i* T_i C as a single blockwise operator."""
+    """S = sum_i C' T_i* T_i C as a single blockwise operator.
+
+    Raises BadParameters for an empty family.
+    """
     if not sys.family:
-        raise ValueError("frame operator needs a nonempty family")
+        raise BadParameters("frame operator needs a nonempty family")
     blocks = []
     # Overflow is caught by the finite check, which raises NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -647,11 +703,11 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     """Evaluate the two-sided inequality at one vector.
 
     Builds all three algebra values of the inequality at x and tests
-    positivity of both slacks under the algebra tolerance.  Each fiber
-    group costs two stacked matmuls: its (phi_raw, gamma, weight) stack
-    times x's parts, then the parts' adjoints times that.  Raises
-    SpaceMismatch unless x is in the system space and both bounds are
-    elements of its algebra.
+    positivity of both slacks under the algebra tolerance, in one test
+    of the (2, d) slack array.  Each fiber group costs two stacked
+    matmuls: its (phi_raw, gamma, weight) stack times x's parts, then
+    the parts' adjoints times that.  Raises SpaceMismatch unless x is
+    in the system space and both bounds are elements of its algebra.
     """
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
@@ -670,13 +726,13 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     low = np.abs(cert.lower.values) ** 2 * gam.real
     up = np.abs(cert.upper.values) ** 2 * wt.real
     alg = sys.space.algebra
-    slack_lower = AlgebraElement(alg, mid - low)
-    slack_upper = AlgebraElement(alg, up - mid)
+    slacks = np.stack([mid - low, up - mid])
+    lower_ok, upper_ok = positive_rows(slacks, alg.eps_pos)
     return CheckReport(
-        lower_ok=alg_is_positive(slack_lower),
-        upper_ok=alg_is_positive(slack_upper),
-        slack_lower=slack_lower,
-        slack_upper=slack_upper,
+        lower_ok=bool(lower_ok),
+        upper_ok=bool(upper_ok),
+        slack_lower=AlgebraElement(alg, slacks[0]),
+        slack_upper=AlgebraElement(alg, slacks[1]),
     )
 
 

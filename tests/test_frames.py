@@ -38,6 +38,12 @@ def parseval_system(dims=(2, 3)):
 
 # -- frame operator -------------------------------------------------------
 
+def test_frame_operator_of_empty_family_is_bad_parameters():
+    space = make_space(Algebra(1), [2])
+    with pytest.raises(BadParameters, match="nonempty family"):
+        frame_operator(frame_system(space, []))
+
+
 def test_frame_operator_single_identity():
     sys1 = parseval_system()
     s = frame_operator(sys1)
@@ -415,6 +421,20 @@ def test_check_at_detects_inflated_lower_bound():
     assert flagged > 50
 
 
+def test_check_at_verdicts_read_its_own_slacks():
+    rng = np.random.default_rng(44)
+    sysr = random_system(rng, d=3, dims=[2, 3, 2], ops=3)
+    cert = certify(sysr)
+    probe = replace(cert, lower=1.5 * cert.lower, upper=0.8 * cert.upper)
+    seen = set()
+    for _ in range(100):
+        rep = check_at(sysr, probe, random_vector(rng, sysr.space))
+        assert rep.lower_ok == alg_is_positive(rep.slack_lower)
+        assert rep.upper_ok == alg_is_positive(rep.slack_upper)
+        seen.add((rep.lower_ok, rep.upper_ok))
+    assert len(seen) > 1
+
+
 def test_verify_bounds_witness_on_violation():
     rng = np.random.default_rng(18)
     sysr = random_system(rng, d=2, dims=[2, 2], ops=3)
@@ -699,6 +719,89 @@ def test_commutation_residual_overflow_is_not_finite():
                                                     [1e200, 1.0]]),))
     with pytest.raises(NotFinite, match="commutator"):
         commutation_residual(big, other)
+
+
+def count_gram_operands(monkeypatch):
+    """Count the T^* T stacks the flags build."""
+    calls = []
+    real = cframe.frames._FiberStacks.gram_operand
+
+    def counting(self, name, blocks):
+        calls.append(name)
+        return real(self, name, blocks)
+
+    monkeypatch.setattr(cframe.frames._FiberStacks, "gram_operand", counting)
+    return calls
+
+
+def reference_flags(sysr):
+    """The flags from commutation_residual_reference, pair by pair."""
+    c, cp, k = sysr.control, sysr.control_prime, sysr.comparison
+    grams = [op_compose(op_adjoint(t), t) for t in sysr.family]
+    r_cc = commutation_residual_reference(c, cp)
+    r_fam = max(commutation_residual_reference(x, g)
+                for g in grams for x in (c, cp))
+    r_k = max(commutation_residual_reference(c, k),
+              commutation_residual_reference(cp, k))
+    return (r_cc <= _COMMUTE_RTOL, r_fam <= _COMMUTE_RTOL,
+            r_k <= _COMMUTE_RTOL, max(r_cc, r_fam, r_k))
+
+
+def flag_tuple(sysr):
+    f = sysr.flags
+    return (f.controls_commute, f.controls_with_family, f.controls_with_k,
+            f.worst_residual)
+
+
+def test_real_scalar_controls_build_no_gram(monkeypatch):
+    calls = count_gram_operands(monkeypatch)
+    rng = np.random.default_rng(40)
+    space = random_space(rng, Algebra(3), [3, 1, 3], weights="random")
+    fam = [random_operator(rng, space) for _ in range(4)]
+    sysr = frame_system(space, fam, control=scalar_glplus(rng, space),
+                        control_prime=scalar_glplus(rng, space),
+                        comparison=random_operator(rng, space))
+    assert calls == []
+    assert flag_tuple(sysr) == (True, True, True, 0.0)
+    # The identity is a real scalar too.
+    frame_system(space, fam)
+    assert calls == []
+
+
+def test_scalar_controls_failing_the_screen_take_the_full_path(monkeypatch):
+    calls = count_gram_operands(monkeypatch)
+    rng = np.random.default_rng(41)
+    space = make_space(Algebra(2), [2, 1])
+    big = ModuleOperator(space, space, (np.full((2, 2), 1e150), [[1.0]]))
+    fam = [random_operator(rng, space), big]
+    sysr = frame_system(space, fam, control=scalar_glplus(rng, space),
+                        control_prime=scalar_glplus(rng, space))
+    # T^* T of the big member is finite, about 2e300.
+    assert np.isfinite(op_compose(op_adjoint(big), big).blocks[0]).all()
+    assert calls == ["family[0]", "family[1]"]
+    got, want = flag_tuple(sysr), reference_flags(sysr)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
+
+
+@pytest.mark.parametrize("nudge", ["imaginary", "off_diagonal"])
+def test_nearly_real_scalar_controls_take_the_full_path(monkeypatch, nudge):
+    calls = count_gram_operands(monkeypatch)
+    rng = np.random.default_rng(42)
+    space = make_space(Algebra(2), [3, 2])
+    c = scalar_glplus(rng, space)
+    block = np.array(c.blocks[0])
+    if nudge == "imaginary":
+        block = block + 1e-14j * np.eye(3)
+    else:
+        block[0, 1] = 1e-300
+    c = ModuleOperator(space, space, (block, c.blocks[1]))
+    fam = [random_operator(rng, space) for _ in range(3)]
+    sysr = frame_system(space, fam, control=c)  # passes the GL+ check
+    assert calls == ["family[0]", "family[1]", "family[2]"]
+    got, want = flag_tuple(sysr), reference_flags(sysr)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
 
 
 # -- the per-system form bundle --------------------------------------------
