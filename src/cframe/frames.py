@@ -726,7 +726,7 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     low = np.abs(cert.lower.values) ** 2 * gam.real
     up = np.abs(cert.upper.values) ** 2 * wt.real
     alg = sys.space.algebra
-    slacks = np.stack([mid - low, up - mid])
+    slacks = np.array([mid - low, up - mid])
     lower_ok, upper_ok = positive_rows(slacks, alg.eps_pos)
     return CheckReport(
         lower_ok=bool(lower_ok),
