@@ -97,9 +97,8 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
     out = _homogeneous_matrix(rows)
     if out is None:
         out = _walk_matrix(rows, where)
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        i, jj = bad[0]
+    if not np.isfinite(out).all():
+        i, jj = np.argwhere(~np.isfinite(out))[0]
         raise ValidationError(f"{where}[{i}][{jj}]: entry is not finite")
     return out
 

@@ -22,7 +22,12 @@ stacked matmuls that give each fiber's matrix bit for bit, with
 read-only per-fiber views into the stacks.  The optimal bounds solve
 the pencils and the restricted infima once per group, check_at
 evaluates the three forms of a group in one stacked product, and the
-certificate checks read the per-fiber views.
+certificate checks read the per-fiber views.  check_at reads a group's
+parts from the vector's one buffer (ModuleVector.flat) through a gather
+cached with the forms, a slice when the group's fibers are consecutive,
+and the certificate's squared bounds are cached on the certificate, so
+a call stacks, concatenates and squares nothing that does not depend
+on the vector.
 
 The commutation flags of a system (C with C', C and C' with every
 T_i^* T_i, C and C' with K) are checked in one stacked pass when the
@@ -38,11 +43,13 @@ that overflows raises NotFinite naming the operator, so no SVD sees a
 non-finite stack.
 
 Real-scalar controls (c_j I with c_j real in every fiber, the identity
-among them) commute with every T_i^* T_i exactly.  Once a Frobenius
-screen on the member blocks rules out overflow, no T_i^* T_i is built;
-their other commutators are exactly zero too, so they run no SVD at
-all.  When the screen fails, the family loop runs as for any control
-and reports an overflowing T_i^* T_i as NotFinite naming the member.
+among them) commute with each other, with K and with every T_i^* T_i
+exactly.  Once Frobenius screens on the member blocks and on K rule out
+overflow, no operand is stacked and no commutator is formed: the flags
+all hold with worst residual 0.0.  When the family screen fails, the
+family loop runs as for any control and reports an overflowing
+T_i^* T_i as NotFinite naming the member; when the K screen fails, the
+C-C', C-K and C'-K residuals run and report an overflow the same way.
 """
 
 from __future__ import annotations
@@ -199,15 +206,23 @@ def _real_scalars(op: ModuleOperator) -> np.ndarray | None:
     return np.array(scalars)
 
 
-def _family_commutes_exactly(sys: ControlledFrameSystem) -> bool:
-    """Whether C and C' commute with every T_i^* T_i exactly, known
-    without forming T_i^* T_i.
+def _control_scale(sys: ControlledFrameSystem) -> np.ndarray | None:
+    """max(1, |c_j|, |c'_j|) per fiber when the controls are real
+    scalars c_j I and c'_j I, else None."""
+    c, cp = _real_scalars(sys.control), _real_scalars(sys.control_prime)
+    if c is None or cp is None:
+        return None
+    return np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp)))
 
-    True when both controls are real scalars c_j I and c'_j I and every
-    member block M_j passes the overflow screen
 
-        max(1, |c_j|, |c'_j|) max(1, |W_j|_F) |W_j^-1|_F max(1, |M_j|_F)^2
-            < _SCREEN_LIMIT.
+def _family_commutes_exactly(sys: ControlledFrameSystem,
+                             scale: np.ndarray) -> bool:
+    """Whether the real-scalar controls with _control_scale `scale`
+    commute with every T_i^* T_i exactly, known without forming T_i^* T_i.
+
+    True when every member block M_j passes the overflow screen
+
+        scale_j max(1, |W_j|_F) |W_j^-1|_F max(1, |M_j|_F)^2 < _SCREEN_LIMIT.
 
     Frobenius norms are submultiplicative, so the screen caps every
     intermediate of ((W^-1 M^H) W) M and of its products with the
@@ -216,19 +231,34 @@ def _family_commutes_exactly(sys: ControlledFrameSystem) -> bool:
     NaN or infinite norm fails the screen, and then the family loop
     runs and raises NotFinite as before.
     """
-    c, cp = _real_scalars(sys.control), _real_scalars(sys.control_prime)
-    if c is None or cp is None:
-        return False
     space = sys.space
-    scale = np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp)))
-    for j, w in enumerate(space.weights):
-        scale[j] *= max(1.0, np.linalg.norm(w)) * np.linalg.norm(
-            space.weight_inv(j))
+    scale = scale * np.array([
+        max(1.0, np.linalg.norm(w)) * np.linalg.norm(space.weight_inv(j))
+        for j, w in enumerate(space.weights)])
     for t in sys.family:
         sq = np.array([np.vdot(m, m).real for m in t.blocks])
         if not np.all(scale * np.maximum(1.0, sq) < _SCREEN_LIMIT):
             return False
     return True
+
+
+def _comparison_commutes_exactly(k: ModuleOperator,
+                                 scale: np.ndarray) -> bool:
+    """Whether the real-scalar controls with _control_scale `scale`
+    commute with each other and with K exactly.
+
+    True when every fiber passes the overflow screen
+
+        scale_j^2 max(1, |K_j|_F) < _SCREEN_LIMIT,
+
+    which keeps c_j c'_j, c_j K_j and c'_j K_j finite; each is then
+    exact in either order, so the C-C', C-K and C'-K commutators are
+    exactly zero.  A NaN or infinite norm fails the screen, and then
+    the residuals run and raise NotFinite as before.
+    """
+    norms = np.array([np.linalg.norm(b) for b in k.blocks])
+    return bool(np.all(scale * scale * np.maximum(1.0, norms)
+                       < _SCREEN_LIMIT))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +285,14 @@ class ControlledFrameSystem:
         object.__setattr__(self, "flags", self._compute_flags())
 
     def _compute_flags(self) -> CommutationFlags:
+        scale = _control_scale(self)
+        # A norm or product that overflows fails its screen.
+        with np.errstate(over="ignore"):
+            family_exact = (scale is not None
+                            and _family_commutes_exactly(self, scale))
+            if family_exact and _comparison_commutes_exactly(
+                    self.comparison, scale):
+                return CommutationFlags(True, True, True, 0.0)
         fibers = _FiberStacks(self.space)
         c = fibers.operand("control", self.control.blocks)
         cp = fibers.operand("control_prime", self.control_prime.blocks)
@@ -263,7 +301,7 @@ class ControlledFrameSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             worst = fibers.residual(c, cp)
             fam = 0.0
-            if not _family_commutes_exactly(self):
+            if not family_exact:
                 for i, t in enumerate(self.family):
                     # One member's T^* T stacks are alive at a time.
                     tt = fibers.gram_operand(f"family[{i}]", t.blocks)
@@ -313,6 +351,13 @@ class FiberForms:
     phi_raw: C'^H (sum M^H W M) C, the form of sum_i <T_i C x, T_i C' x>.
     phi: the Hermitian part of phi_raw.
     gamma: the form of <K* x, K* x>.
+
+    How check_at reads a vector's group parts from ModuleVector.flat:
+    gathers: per group, a slice when its fibers are consecutive (their
+        parts are then one run of flat), else a (g, n) index array.
+    order: the permutation that puts values listed group by group back
+        in fiber order, None when the groups already list the fibers in
+        order.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -321,16 +366,36 @@ class FiberForms:
     gamma: tuple[np.ndarray, ...] = field(init=False)
     weight: tuple[np.ndarray, ...] = field(init=False)
     phi: tuple[np.ndarray, ...] = field(init=False)
+    gathers: tuple[slice | np.ndarray, ...] = field(init=False)
+    order: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        views: list = [[None] * sum(map(len, self.groups)) for _ in range(4)]
+        d = sum(map(len, self.groups))
+        views: list = [[None] * d for _ in range(4)]
+        dims = [0] * d
         for idx, stack in zip(self.groups, self.stacks):
             stack.setflags(write=False)
             for form, mats in zip(views, stack):
                 for j, m in zip(idx, mats):
                     form[j] = m
+            for j in idx:
+                dims[j] = stack.shape[-1]
         for name, form in zip(("phi_raw", "gamma", "weight", "phi"), views):
             object.__setattr__(self, name, tuple(form))
+        starts = np.cumsum([0] + dims)
+        gathers = []
+        for idx, stack in zip(self.groups, self.stacks):
+            n = stack.shape[-1]
+            first = int(starts[idx[0]])
+            if idx == tuple(range(idx[0], idx[0] + len(idx))):
+                gathers.append(slice(first, first + len(idx) * n))
+            else:
+                gathers.append(starts[list(idx)][:, None] + np.arange(n))
+        listed = np.concatenate(self.groups)
+        order = (None if np.array_equal(listed, np.arange(d))
+                 else np.argsort(listed))
+        object.__setattr__(self, "gathers", tuple(gathers))
+        object.__setattr__(self, "order", order)
 
     @cached_property
     def phi_spectrum(self) -> tuple[np.ndarray, ...]:
@@ -558,6 +623,14 @@ class FrameCertificate:
     status: str
     vacuous: tuple[int, ...]
 
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """|A|^2 and |B|^2 entrywise, read-only; check_at reads them."""
+        out = (np.abs(self.lower.values) ** 2, np.abs(self.upper.values) ** 2)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
 
 def _bound_status(lower_holds: bool, upper: AlgebraElement) -> str:
     """`not_frame` unless upper is strictly nonzero; then `frame` if the
@@ -714,17 +787,18 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     _require_algebra(sys, cert.lower, cert.upper)
     forms = sys.forms
     chunks = []
-    for idx, stack in zip(forms.groups, forms.stacks):
-        p = np.array([x.parts[j] for j in idx])
+    for gather, stack in zip(forms.gathers, forms.stacks):
+        p = x.flat[gather].reshape(stack.shape[1:3])
         # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
         mp = stack[:3] @ p[..., None]
         chunks.append((p.conj()[:, None, :] @ mp)[..., 0, 0])
-    # The chunks hold the fibers in group order; one store puts them back.
-    vals = np.empty((3, len(x.parts)), dtype=np.complex128)
-    vals[:, np.concatenate(forms.groups)] = np.concatenate(chunks, axis=1)
+    vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    if forms.order is not None:
+        vals = vals[:, forms.order]
     mid, gam, wt = vals
-    low = np.abs(cert.lower.values) ** 2 * gam.real
-    up = np.abs(cert.upper.values) ** 2 * wt.real
+    low_sq, up_sq = cert.squares
+    low = low_sq * gam.real
+    up = up_sq * wt.real
     alg = sys.space.algebra
     slacks = np.array([mid - low, up - mid])
     lower_ok, upper_ok = positive_rows(slacks, alg.eps_pos)

@@ -11,11 +11,16 @@ All positivity and adjoint formulas downstream are stated against these
 weights, so the space precomputes W^(1/2), W^(-1/2) and W^(-1) once.
 It also groups its fibers by dimension once (`groups`); the frame forms
 and the commutation checks keep one stack per group.
+
+A vector keeps its parts end to end in one read-only buffer (`flat`),
+made by the one copy its constructor takes of the input, with the parts
+as read-only views into it; check_at reads a group's parts from that
+buffer without stacking them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -134,21 +139,35 @@ def make_space(algebra: Algebra, fibers) -> ModuleSpace:
 
 @dataclass(frozen=True, eq=False)
 class ModuleVector:
-    """One complex column per fiber."""
+    """One complex column per fiber, held in one buffer.
+
+    flat: the parts end to end in fiber order, a read-only copy of the
+        input made once, by the constructor.
+    parts: read-only views into flat, part j of length dims[j].
+    """
 
     space: ModuleSpace
     parts: tuple[np.ndarray, ...]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.parts) != len(self.space.dims):
+        dims = self.space.dims
+        if len(self.parts) != len(dims):
             raise ValueError("need one part per fiber")
-        parts = []
-        for j, (n, p) in enumerate(zip(self.space.dims, self.parts)):
-            arr = np.array(p, dtype=np.complex128).reshape(-1)
+        arrs = [np.asarray(p, dtype=np.complex128).reshape(-1)
+                for p in self.parts]
+        for j, (n, arr) in enumerate(zip(dims, arrs)):
             if arr.shape != (n,):
                 raise ValueError(f"fiber {j}: part has wrong length")
-            arr.setflags(write=False)
-            parts.append(arr)
+        flat = np.concatenate(arrs)
+        flat.setflags(write=False)
+        # Slices of a read-only array are read-only views.
+        parts = []
+        end = 0
+        for n in dims:
+            parts.append(flat[end:end + n])
+            end += n
+        object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "parts", tuple(parts))
 
     def _check(self, other: ModuleVector):

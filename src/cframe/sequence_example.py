@@ -123,7 +123,7 @@ def draw_vectors(es: ExampleSystem, count: int, rng) -> np.ndarray:
 
 
 def _row(x: ModuleVector) -> np.ndarray:
-    return np.concatenate(x.parts)[None, :]
+    return x.flat[None, :]
 
 
 def family_form_values(es: ExampleSystem, xs: np.ndarray) -> np.ndarray:

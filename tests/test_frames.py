@@ -16,12 +16,13 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     scalar_operator, synthesis, verify_bounds,
                     with_comparison, with_controls, with_family,
                     zero_operator)
-from cframe.algebra import alg_is_positive
+from cframe.algebra import AlgebraElement, alg_is_positive, positive_rows
 from cframe.errors import (BadParameters, NotCommuting, NotFinite, NotGLPlus,
                            SingularFrameOperator, SpaceMismatch)
 import cframe.frames
 import cframe.spectral
-from cframe.frames import _COMMUTE_RTOL, _SKEW_RTOL, _operator_spectrum
+from cframe.frames import (_COMMUTE_RTOL, _SKEW_RTOL, CheckReport,
+                           _operator_spectrum, _require_algebra)
 from cframe.operators import adjoint_gram_matrix
 from cframe.spectral import (_finite, fiberwise_pencil_eigvals,
                              hermitian_part, restricted_pencil_min)
@@ -734,6 +735,19 @@ def count_gram_operands(monkeypatch):
     return calls
 
 
+def count_residuals(monkeypatch):
+    """Count the residuals the flags run, by operand pair."""
+    calls = []
+    real = cframe.frames._FiberStacks.residual
+
+    def counting(self, x, y):
+        calls.append((x.name, y.name))
+        return real(self, x, y)
+
+    monkeypatch.setattr(cframe.frames._FiberStacks, "residual", counting)
+    return calls
+
+
 def reference_flags(sysr):
     """The flags from commutation_residual_reference, pair by pair."""
     c, cp, k = sysr.control, sysr.control_prime, sysr.comparison
@@ -755,17 +769,50 @@ def flag_tuple(sysr):
 
 def test_real_scalar_controls_build_no_gram(monkeypatch):
     calls = count_gram_operands(monkeypatch)
+    residuals = count_residuals(monkeypatch)
     rng = np.random.default_rng(40)
     space = random_space(rng, Algebra(3), [3, 1, 3], weights="random")
     fam = [random_operator(rng, space) for _ in range(4)]
     sysr = frame_system(space, fam, control=scalar_glplus(rng, space),
                         control_prime=scalar_glplus(rng, space),
                         comparison=random_operator(rng, space))
-    assert calls == []
+    assert calls == [] and residuals == []
     assert flag_tuple(sysr) == (True, True, True, 0.0)
     # The identity is a real scalar too.
     frame_system(space, fam)
+    assert calls == [] and residuals == []
+
+
+@pytest.mark.parametrize("big", [1e299, 1e308])
+def test_scalar_controls_with_k_failing_the_screen_run_the_residuals(
+        monkeypatch, big):
+    # c = 10: c^2 |K|_F exceeds the screen's 1e300 in both cases; c K
+    # is finite at 1e299 and overflows at 1e308.
+    calls = count_gram_operands(monkeypatch)
+    residuals = count_residuals(monkeypatch)
+    space = make_space(Algebra(2), [2, 1])
+    k = ModuleOperator(space, space, (np.array([[big, 1.0], [0.0, 1.0]]),
+                                      np.eye(1)))
+    build = lambda: frame_system(space, [identity(space)],
+                                 control=scalar_operator(space, 10.0),
+                                 comparison=k)
+    if big == 1e308:
+        with pytest.raises(NotFinite) as err:
+            build()
+        assert str(err.value) == ("commutator of control and comparison "
+                                  "is not finite")
+        assert residuals == [("control", "control_prime"),
+                             ("control", "comparison")]
+        return
+    sysr = build()
     assert calls == []
+    assert residuals == [("control", "control_prime"),
+                         ("control", "comparison"),
+                         ("control_prime", "comparison")]
+    got, want = flag_tuple(sysr), reference_flags(sysr)
+    assert got == (True, True, True, 0.0)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
 
 
 def test_scalar_controls_failing_the_screen_take_the_full_path(monkeypatch):
@@ -1001,6 +1048,94 @@ def check_at_reference(sysm, cert, x):
     up = np.abs(cert.upper.values) ** 2 * values(forms.weight).real
     scale = np.abs(mid) + np.abs(low) + np.abs(up)
     return mid - low, up - mid, scale
+
+
+def check_at_stacked_reference(sys, cert, x):
+    """check_at as it was before vectors held one buffer: stack each
+    group's parts, store the values back by index, square the bounds.
+    The reference that check_at must equal bit for bit."""
+    if x.space != sys.space:
+        raise SpaceMismatch("vector is not in the system space")
+    _require_algebra(sys, cert.lower, cert.upper)
+    forms = sys.forms
+    chunks = []
+    for idx, stack in zip(forms.groups, forms.stacks):
+        p = np.array([x.parts[j] for j in idx])
+        # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
+        mp = stack[:3] @ p[..., None]
+        chunks.append((p.conj()[:, None, :] @ mp)[..., 0, 0])
+    # The chunks hold the fibers in group order; one store puts them back.
+    vals = np.empty((3, len(x.parts)), dtype=np.complex128)
+    vals[:, np.concatenate(forms.groups)] = np.concatenate(chunks, axis=1)
+    mid, gam, wt = vals
+    low = np.abs(cert.lower.values) ** 2 * gam.real
+    up = np.abs(cert.upper.values) ** 2 * wt.real
+    alg = sys.space.algebra
+    slacks = np.array([mid - low, up - mid])
+    lower_ok, upper_ok = positive_rows(slacks, alg.eps_pos)
+    return CheckReport(
+        lower_ok=bool(lower_ok),
+        upper_ok=bool(upper_ok),
+        slack_lower=AlgebraElement(alg, slacks[0]),
+        slack_upper=AlgebraElement(alg, slacks[1]),
+    )
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dims", [
+    [8] * 16,                         # one group, fibers in order
+    list(range(1, 17)),               # one fiber per group
+    [1 + j % 16 for j in range(64)],  # groups of scattered fibers
+    [1, 3, 2, 3, 1],                  # groups out of fiber order
+])
+def test_check_at_is_bit_identical_to_the_stacked_reference(dims):
+    rng = np.random.default_rng(48)
+    sysm = random_system(rng, d=len(dims), dims=dims, ops=2,
+                         controls="scalar", weights="random",
+                         family="generic", comparison="generic")
+    cert = certify(sysm, samples=0)
+    probe = replace(cert, lower=1.3 * cert.lower, upper=0.9 * cert.upper)
+    forms = sysm.forms
+    # Per fiber, the vector where the lower (upper) bound is attained;
+    # the probe violates it there.
+    witnesses = [[unit(scipy.linalg.eigh(phi, b)[1][:, end])
+                  for phi, b in zip(forms.phi, mats)]
+                 for mats, end in ((forms.gamma, 0), (forms.weight, -1))]
+    verdicts = {cert: set(), probe: set()}
+    for k in range(100):
+        c = cert if k % 2 else probe
+        x = random_vector(rng, sysm.space)
+        if c is probe:
+            x = ModuleVector(sysm.space, tuple(
+                w + 0.01 * p for w, p in zip(witnesses[k % 4 // 2], x.parts)))
+        got, want = check_at(sysm, c, x), check_at_stacked_reference(
+            sysm, c, x)
+        for name in ("slack_lower", "slack_upper"):
+            assert (getattr(got, name).values.tobytes()
+                    == getattr(want, name).values.tobytes())
+        assert (got.lower_ok, got.upper_ok) == (want.lower_ok, want.upper_ok)
+        verdicts[c].add((got.lower_ok, got.upper_ok))
+    assert verdicts[cert] == {(True, True)}
+    assert any(not low for low, _ in verdicts[probe])
+    assert any(not up for _, up in verdicts[probe])
+
+
+def test_check_at_reports_share_no_writable_array():
+    sysm = mixed_system(49, "hpd")
+    cert = certify(sysm, samples=0)
+    rng = np.random.default_rng(50)
+    x, y = (random_vector(rng, sysm.space) for _ in range(2))
+    reports = [check_at(sysm, cert, x), check_at(sysm, cert, y)]
+    arrays = [[r.slack_lower.values, r.slack_upper.values] for r in reports]
+    for arr in arrays[0] + arrays[1] + list(cert.squares) + [x.flat]:
+        assert not arr.flags.writeable
+    for a in arrays[0]:
+        for b in arrays[1]:
+            assert not np.shares_memory(a, b)
+    assert cert.squares is cert.squares
 
 
 def mixed_system(seed, controls):

@@ -193,3 +193,27 @@ def test_weight_errors_name_the_fiber(weight, error, message):
     with pytest.raises(error) as exc:
         make_space(Algebra(2), [1, (2, weight)])
     assert str(exc.value) == f"fiber 1: {message}"
+
+
+def test_vector_holds_one_read_only_copy_of_its_input():
+    space = make_space(Algebra(3), [2, 3, 1])
+    src = np.arange(6, dtype=np.complex128)
+    rows = [src[:2], src[2:5].reshape(3, 1), [5.0]]
+    x = ModuleVector(space, tuple(rows))
+    src[:] = -1.0
+    np.testing.assert_array_equal(x.flat, np.arange(6))
+    np.testing.assert_array_equal(np.concatenate(x.parts), np.arange(6))
+    assert not x.flat.flags.writeable
+    for j, p in enumerate(x.parts):
+        assert p.base is x.flat
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 1.0
+    with pytest.raises(ValueError):
+        x.flat[0] = 1.0
+
+
+def test_vector_part_of_wrong_length_names_the_fiber():
+    space = make_space(Algebra(2), [2, 3])
+    with pytest.raises(ValueError, match="fiber 1: part has wrong length"):
+        ModuleVector(space, ([1.0, 2.0], [1.0, 2.0]))
