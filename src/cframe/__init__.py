@@ -15,11 +15,10 @@ from .frames import (STATUS_BESSEL, STATUS_FRAME, STATUS_NOT_FRAME,
                      FiberForms, FrameCertificate, LowerBoundResult,
                      ReconstructionResult, VerifyResult, analysis, certify,
                      check_at, commutation_residual, comparison_form_matrix,
-                     family_gram_matrix, frame_form_matrix, frame_operator,
-                     frame_system, optimal_lower_bound,
-                     optimal_upper_bound, reconstruct, synthesis,
-                     verify_bounds, with_comparison, with_controls,
-                     with_family)
+                     frame_form_matrix, frame_operator, frame_system,
+                     optimal_lower_bound, optimal_upper_bound, reconstruct,
+                     synthesis, verify_bounds, with_comparison,
+                     with_controls, with_family)
 from .module_space import (ModuleSpace, ModuleVector, inner_product,
                            make_space, module_action, module_norm)
 from .operators import (ModuleOperator, OperatorFlags, adjoint_gram_matrix,

@@ -14,39 +14,39 @@ lower bound against the comparison form with its kernel excluded.
 Certificates are recomputed quantities, never trusted inputs; check_at
 re-evaluates the inequality at any vector.
 
-The fiber forms (the weight W_j, the frame form Phi_j raw and
-Hermitian, the comparison form Gamma_j) are built once per system, on
-first use, in `ControlledFrameSystem.forms`: one read-only stack per
-group of fibers of equal dimension (`ModuleSpace.groups`), built by
-stacked matmuls that give each fiber's matrix bit for bit, with
-read-only per-fiber views into the stacks.  The optimal bounds solve
-the pencils and the restricted infima once per group, check_at
-evaluates the three forms of a group in one stacked product, and the
-certificate checks read the per-fiber views.  check_at reads a group's
-parts from the vector's one buffer (ModuleVector.flat) through a gather
-cached with the forms, a slice when the group's fibers are consecutive,
-and the certificate's squared bounds are cached on the certificate, so
-a call stacks, concatenates and squares nothing that does not depend
-on the vector.
+Spaces and operators hold one read-only stack per group of fibers of
+equal dimension (`ModuleSpace.groups`), and everything here reads those
+stacks: a stacked matmul, eigh or SVD treats each fiber as the call on
+its matrix alone would.  The fiber forms (the weight W_j, the frame
+form Phi_j raw and Hermitian, the comparison form Gamma_j) are built
+once per system, on first use, in `ControlledFrameSystem.forms`: one
+read-only stack per group, with read-only per-fiber views into it.
+The optimal bounds solve the pencils and the restricted infima once
+per group, check_at evaluates the three forms of a group in one
+stacked product, and the certificate checks read the per-fiber views.
+check_at reads a group's parts from the vector's one buffer
+(ModuleVector.flat) through a gather cached with the forms, a slice
+when the group's fibers are consecutive, and the certificate's squared
+bounds are cached on the certificate, so a call stacks, concatenates
+and squares nothing that does not depend on the vector.
 
 The commutation flags of a system (C with C', C and C' with every
 T_i^* T_i, C and C' with K) are checked in one stacked pass when the
-system is built.  The fibers are grouped by dimension once, and each
-operand becomes one (g, n, n) stack per group; T_i^* T_i is formed from
-the blocks of T_i one member at a time.  Each commutator x y - y x
-costs one stacked matmul pair per group, and a group whose commutator
-is exactly zero adds nothing without an SVD.  Only a nonzero numerator
-takes the stacked SVD of W^(1/2) D W^(-1/2), and only then are the two
-operand norms taken, each at most once.  commutation_residual runs the
-same residual on one pair, for the transform preconditions.  A product
-that overflows raises NotFinite naming the operator, so no SVD sees a
-non-finite stack.
+system is built, on the operators' group stacks; T_i^* T_i is formed
+from the stacks of T_i one member at a time.  Each commutator
+x y - y x costs one stacked matmul pair per group, and a group whose
+commutator is exactly zero adds nothing without an SVD.  Only a nonzero
+numerator takes the stacked SVD of W^(1/2) D W^(-1/2), the one op_norm
+takes, and only then are the two operand norms taken, each at most
+once.  commutation_residual runs the same residual on one pair, for the
+transform preconditions.  A product that overflows raises NotFinite
+naming the operator, so no SVD sees a non-finite stack.
 
 Real-scalar controls (c_j I with c_j real in every fiber, the identity
 among them) commute with each other, with K and with every T_i^* T_i
 exactly.  Once Frobenius screens on the member blocks and on K rule out
-overflow, no operand is stacked and no commutator is formed: the flags
-all hold with worst residual 0.0.  When the family screen fails, the
+overflow, no T_i^* T_i and no commutator is formed: the flags all
+hold with worst residual 0.0.  When the family screen fails, the
 family loop runs as for any control and reports an overflowing
 T_i^* T_i as NotFinite naming the member; when the K screen fails, the
 C-C', C-K and C'-K residuals run and report an overflow the same way.
@@ -60,14 +60,15 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
-from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
-                     NotGLPlus, SingularFrameOperator, SpaceMismatch)
+from .errors import (BadParameters, LengthMismatch, NotCommuting, NotGLPlus,
+                     SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, module_norm
-from .operators import (ModuleOperator, identity, op_adjoint, op_classify,
-                        op_compose, op_sqrt)
-from .spectral import (_adjoint, _finite, _norms, fiberwise_pencil_eigvals,
-                       grouped_pencil_eigvals, hermitian_part,
-                       restricted_pencil_mins)
+from .operators import (ModuleOperator, _adjoint_grams, _largest_sv,
+                        identity, op_adjoint, op_classify, op_compose,
+                        op_sqrt, zero_operator)
+from .spectral import (_adjoint, _fiber_views, _finite, _finite_fibers,
+                       _frobenius, _norms, grouped_pencil_eigvals,
+                       hermitian_part, restricted_pencil_mins)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -96,87 +97,33 @@ class CommutationFlags:
     worst_residual: float
 
 
-class _Operand:
-    """An endomorphism as one (g, n, n) stack per fiber group."""
+def _residual(space: ModuleSpace, x, y, norms: dict) -> float:
+    """|x y - y x| / (|x| |y|) for two endomorphisms of space given as
+    (name, group stacks), the commutator taken first.
 
-    def __init__(self, name: str, stacks: list[np.ndarray],
-                 fibers: _FiberStacks):
-        self.name = name
-        self.stacks = stacks
-        self._fibers = fibers
-
-    @cached_property
-    def norm(self) -> float:
-        """op_norm of the operator, taken on first use only."""
-        worst = 0.0
-        for g, x in enumerate(self.stacks):
-            worst = max(worst, self._fibers.largest_sv(x, g, self.name))
-        return worst
-
-
-class _FiberStacks:
-    """The fibers of a space grouped by dimension, with weight stacks.
-
-    The stacks of W^(1/2) and W^(-1/2) are built on first use, by the
-    first SVD.  Every product is associated as in op_adjoint,
-    op_compose and op_norm, and a stacked matmul or SVD treats each
-    fiber as the unstacked call does, so the results equal those of the
-    operator functions bit for bit.
+    A group whose commutator is exactly zero adds 0 without an SVD.  The
+    operand norms are taken only for a nonzero numerator, each once per
+    norms, a cache keyed by name, and NotFinite names the operand.
     """
+    (xname, xs), (yname, ys) = x, y
+    what = f"commutator of {xname} and {yname}"
+    diffs = [_finite(a @ b - b @ a, what) for a, b in zip(xs, ys)]
+    num = _largest_sv(space, space, space.groups, diffs, lambda j: what)
+    if num == 0.0:
+        return 0.0
+    for name, stacks in (x, y):
+        if name not in norms:
+            norms[name] = _largest_sv(space, space, space.groups, stacks,
+                                      lambda j: name)
+    return num / max(norms[xname] * norms[yname], 1e-300)
 
-    def __init__(self, space: ModuleSpace):
-        self.groups = space.groups
-        self._space = space
-        self.weight = self.stack(space.weights)
-        self.weight_inv = self._stack_of(space.weight_inv)
 
-    @cached_property
-    def sqrt(self) -> list[np.ndarray]:
-        return self._stack_of(self._space.weight_sqrt)
-
-    @cached_property
-    def isqrt(self) -> list[np.ndarray]:
-        return self._stack_of(self._space.weight_isqrt)
-
-    def stack(self, mats) -> list[np.ndarray]:
-        return [np.stack([mats[j] for j in idx]) for idx in self.groups]
-
-    def _stack_of(self, fiber_matrix) -> list[np.ndarray]:
-        return [np.stack([fiber_matrix(j) for j in idx])
-                for idx in self.groups]
-
-    def operand(self, name: str, blocks) -> _Operand:
-        return _Operand(name, self.stack(blocks), self)
-
-    def gram_operand(self, name: str, blocks) -> _Operand:
-        """T^* T from the blocks M of T: ((W^-1 M^H) W) M per fiber."""
-        stacks = []
-        for m, w, winv in zip(self.stack(blocks), self.weight,
-                              self.weight_inv):
-            tt = winv @ m.conj().transpose(0, 2, 1) @ w @ m
-            stacks.append(_finite(tt, f"{name}^* {name}"))
-        return _Operand(f"{name}^* {name}", stacks, self)
-
-    def largest_sv(self, x: np.ndarray, g: int, what: str) -> float:
-        """Largest singular value of W^(1/2) x W^(-1/2) over group g."""
-        m = _finite(self.sqrt[g] @ x @ self.isqrt[g], what)
-        return float(np.linalg.svd(m, compute_uv=False).max())
-
-    def residual(self, x: _Operand, y: _Operand) -> float:
-        """|x y - y x| / (|x| |y|), the commutator taken first.
-
-        A group whose commutator is exactly zero adds 0 without an SVD,
-        and the operand norms are taken only for a nonzero numerator.
-        """
-        what = f"commutator of {x.name} and {y.name}"
-        num = 0.0
-        for g, (xs, ys) in enumerate(zip(x.stacks, y.stacks)):
-            diff = xs @ ys - ys @ xs
-            if diff.any():
-                num = max(num, self.largest_sv(_finite(diff, what), g, what))
-        if num == 0.0:
-            return 0.0
-        return num / max(x.norm * y.norm, 1e-300)
+def _gram(name: str, t: ModuleOperator):
+    """T^* T of the member t named name, as (name, group stacks), each
+    stack checked finite."""
+    what = f"{name}^* {name}"
+    tt = op_compose(op_adjoint(t), t)
+    return what, [_finite(s, what) for s in tt.stacks]
 
 
 def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
@@ -189,34 +136,25 @@ def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
     space = x.domain
     if not x.codomain == y.domain == y.codomain == space:
         raise SpaceMismatch("commutation needs endomorphisms of one space")
-    fibers = _FiberStacks(space)
     with np.errstate(over="ignore", invalid="ignore"):
-        return fibers.residual(fibers.operand("x", x.blocks),
-                               fibers.operand("y", y.blocks))
+        return _residual(space, ("x", x.stacks), ("y", y.stacks), {})
 
 
-def _real_scalars(op: ModuleOperator) -> np.ndarray | None:
-    """The real c_j with block j exactly c_j I in every fiber, else None."""
-    scalars = []
-    for b in op.blocks:
-        c = b[0, 0].real
-        if not np.array_equal(b, c * np.eye(len(b))):
+def _control_scale(sys: ControlledFrameSystem) -> list[np.ndarray] | None:
+    """Per group, max(1, |c_j|, |c'_j|) when the controls are real
+    scalars c_j I and c'_j I, each block exactly equal to it, else None."""
+    scale = []
+    for pair in zip(sys.control.stacks, sys.control_prime.stacks):
+        c, cp = (s[:, 0, 0].real for s in pair)
+        eye = np.eye(pair[0].shape[-1])
+        if not all(np.array_equal(s, x[:, None, None] * eye)
+                   for s, x in zip(pair, (c, cp))):
             return None
-        scalars.append(c)
-    return np.array(scalars)
+        scale.append(np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp))))
+    return scale
 
 
-def _control_scale(sys: ControlledFrameSystem) -> np.ndarray | None:
-    """max(1, |c_j|, |c'_j|) per fiber when the controls are real
-    scalars c_j I and c'_j I, else None."""
-    c, cp = _real_scalars(sys.control), _real_scalars(sys.control_prime)
-    if c is None or cp is None:
-        return None
-    return np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp)))
-
-
-def _family_commutes_exactly(sys: ControlledFrameSystem,
-                             scale: np.ndarray) -> bool:
+def _family_commutes_exactly(sys: ControlledFrameSystem, scale) -> bool:
     """Whether the real-scalar controls with _control_scale `scale`
     commute with every T_i^* T_i exactly, known without forming T_i^* T_i.
 
@@ -231,19 +169,18 @@ def _family_commutes_exactly(sys: ControlledFrameSystem,
     NaN or infinite norm fails the screen, and then the family loop
     runs and raises NotFinite as before.
     """
-    space = sys.space
-    scale = scale * np.array([
-        max(1.0, np.linalg.norm(w)) * np.linalg.norm(space.weight_inv(j))
-        for j, w in enumerate(space.weights)])
+    limits = [s * (np.maximum(1.0, _frobenius(w[0])) * _frobenius(w[1]))
+              for s, w in zip(scale, sys.space.stacks)]
     for t in sys.family:
-        sq = np.array([np.vdot(m, m).real for m in t.blocks])
-        if not np.all(scale * np.maximum(1.0, sq) < _SCREEN_LIMIT):
-            return False
+        for limit, m in zip(limits, t.stacks):
+            flat = m.reshape(len(m), -1)
+            sq = np.vecdot(flat, flat).real
+            if not np.all(limit * np.maximum(1.0, sq) < _SCREEN_LIMIT):
+                return False
     return True
 
 
-def _comparison_commutes_exactly(k: ModuleOperator,
-                                 scale: np.ndarray) -> bool:
+def _comparison_commutes_exactly(k: ModuleOperator, scale) -> bool:
     """Whether the real-scalar controls with _control_scale `scale`
     commute with each other and with K exactly.
 
@@ -256,9 +193,8 @@ def _comparison_commutes_exactly(k: ModuleOperator,
     exactly zero.  A NaN or infinite norm fails the screen, and then
     the residuals run and raise NotFinite as before.
     """
-    norms = np.array([np.linalg.norm(b) for b in k.blocks])
-    return bool(np.all(scale * scale * np.maximum(1.0, norms)
-                       < _SCREEN_LIMIT))
+    return all(np.all(s * s * np.maximum(1.0, _frobenius(m)) < _SCREEN_LIMIT)
+               for s, m in zip(scale, k.stacks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,21 +229,22 @@ class ControlledFrameSystem:
             if family_exact and _comparison_commutes_exactly(
                     self.comparison, scale):
                 return CommutationFlags(True, True, True, 0.0)
-        fibers = _FiberStacks(self.space)
-        c = fibers.operand("control", self.control.blocks)
-        cp = fibers.operand("control_prime", self.control_prime.blocks)
-        k = fibers.operand("comparison", self.comparison.blocks)
+        space, norms = self.space, {}
+        c = ("control", self.control.stacks)
+        cp = ("control_prime", self.control_prime.stacks)
+        k = ("comparison", self.comparison.stacks)
         # Overflow is caught by the finite checks, which raise NotFinite.
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = fibers.residual(c, cp)
+            worst = _residual(space, c, cp, norms)
             fam = 0.0
             if not family_exact:
                 for i, t in enumerate(self.family):
                     # One member's T^* T stacks are alive at a time.
-                    tt = fibers.gram_operand(f"family[{i}]", t.blocks)
-                    fam = max(fam, fibers.residual(c, tt))
-                    fam = max(fam, fibers.residual(cp, tt))
-            kk = max(fibers.residual(c, k), fibers.residual(cp, k))
+                    tt = _gram(f"family[{i}]", t)
+                    fam = max(fam, _residual(space, c, tt, norms))
+                    fam = max(fam, _residual(space, cp, tt, norms))
+            kk = max(_residual(space, c, k, norms),
+                     _residual(space, cp, k, norms))
         return CommutationFlags(
             controls_commute=worst <= _COMMUTE_RTOL,
             controls_with_family=fam <= _COMMUTE_RTOL,
@@ -370,19 +307,13 @@ class FiberForms:
     order: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        d = sum(map(len, self.groups))
-        views: list = [[None] * d for _ in range(4)]
-        dims = [0] * d
-        for idx, stack in zip(self.groups, self.stacks):
+        for stack in self.stacks:
             stack.setflags(write=False)
-            for form, mats in zip(views, stack):
-                for j, m in zip(idx, mats):
-                    form[j] = m
-            for j in idx:
-                dims[j] = stack.shape[-1]
-        for name, form in zip(("phi_raw", "gamma", "weight", "phi"), views):
-            object.__setattr__(self, name, tuple(form))
-        starts = np.cumsum([0] + dims)
+        for f, name in enumerate(("phi_raw", "gamma", "weight", "phi")):
+            object.__setattr__(self, name, _fiber_views(
+                self.groups, [s[f] for s in self.stacks]))
+        d = len(self.weight)
+        starts = np.cumsum([0] + [len(w) for w in self.weight])
         gathers = []
         for idx, stack in zip(self.groups, self.stacks):
             n = stack.shape[-1]
@@ -409,55 +340,35 @@ class FiberForms:
                                       [s[2] for s in self.stacks])
 
 
-def family_gram_matrix(sys: ControlledFrameSystem, j: int) -> np.ndarray:
-    """Sum over the family of M^H W M at fiber j."""
-    n = sys.space.dims[j]
-    w = sys.space.weights[j]
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for t in sys.family:
-        m = t.blocks[j]
-        acc += m.conj().T @ w @ m
-    return acc
-
-
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
-    """The forms of every group, each a stacked copy of the per-fiber
-    products: acc += M^H W M, then C'^H acc C; Gamma is the Hermitian
-    part of V M W^-1 M^H V, as in adjoint_gram_matrix."""
-    fibers = _FiberStacks(sys.space)
-    accs = [np.zeros_like(w) for w in fibers.weight]
+    """The forms of every group from the operators' stacks, fiber by
+    fiber the products acc += M^H W M, then C'^H acc C; Gamma is K's
+    adjoint Gram form, the Hermitian part of V M W^-1 M^H V."""
+    space = sys.space
+    accs = [np.zeros_like(w[0]) for w in space.stacks]
     stacks = []
     # Overflow is caught by the finite checks, which raise NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in sys.family:
-            # One member's stacks are alive at a time.
-            for acc, m, w in zip(accs, fibers.stack(t.blocks), fibers.weight):
-                acc += _adjoint(m) @ w @ m
-        for acc, w, winv, c, cp, k in zip(
-                accs, fibers.weight, fibers.weight_inv,
-                fibers.stack(sys.control.blocks),
-                fibers.stack(sys.control_prime.blocks),
-                fibers.stack(sys.comparison.blocks)):
+            for acc, m, w in zip(accs, t.stacks, space.stacks):
+                acc += _adjoint(m) @ w[0] @ m
+        for acc, w, c, cp, gamma in zip(
+                accs, space.stacks, sys.control.stacks,
+                sys.control_prime.stacks, _adjoint_grams(sys.comparison)):
             raw = _adjoint(cp) @ acc @ c
-            gamma = hermitian_part(w @ k @ winv @ _adjoint(k) @ w)
-            stacks.append(np.stack([raw, gamma, w, hermitian_part(raw)]))
-    _require_finite_forms(fibers.groups, stacks)
-    return FiberForms(groups=fibers.groups, stacks=tuple(stacks))
+            stacks.append(np.stack([raw, gamma, w[0], hermitian_part(raw)]))
+    _require_finite_forms(space.groups, stacks)
+    return FiberForms(groups=space.groups, stacks=tuple(stacks))
 
 
 def _require_finite_forms(groups, stacks) -> None:
     """NotFinite naming the lowest fiber whose Phi (raw or Hermitian) or
     Gamma is not finite, Phi before Gamma."""
-    bad: dict[int, str] = {}
-    for idx, stack in zip(groups, stacks):
-        finite = np.isfinite(stack).all(axis=(2, 3))
-        phi_ok = finite[0] & finite[3]
-        for i in np.flatnonzero(~(phi_ok & finite[1])):
-            bad[idx[i]] = ("frame form Phi" if not phi_ok[i]
-                           else "comparison form Gamma")
-    if bad:
-        j = min(bad)
-        raise NotFinite(f"{bad[j]} at fiber {j} is not finite")
+    forms = [s.swapaxes(0, 1) for s in stacks]
+    views = _fiber_views(groups, forms)
+    _finite_fibers(groups, forms, lambda j: (
+        "frame form Phi" if not np.isfinite(views[j][[0, 3]]).all()
+        else "comparison form Gamma") + f" at fiber {j}")
 
 
 def frame_form_matrix(sys: ControlledFrameSystem, j: int, *,
@@ -487,21 +398,15 @@ def frame_operator(sys: ControlledFrameSystem) -> ModuleOperator:
     """
     if not sys.family:
         raise BadParameters("frame operator needs a nonempty family")
-    blocks = []
+    s = zero_operator(sys.space)
     # Overflow is caught by the finite check, which raises NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(sys.space.dims)):
-            cp = sys.control_prime.blocks[j]
-            c = sys.control.blocks[j]
-            winv = sys.space.weight_inv(j)
-            w = sys.space.weights[j]
-            acc = np.zeros((sys.space.dims[j], sys.space.dims[j]),
-                           dtype=np.complex128)
-            for t in sys.family:
-                m = t.blocks[j]
-                acc += cp @ (winv @ m.conj().T @ w) @ m @ c
-            blocks.append(_finite(acc, f"frame operator at fiber {j}"))
-    return ModuleOperator(sys.space, sys.space, tuple(blocks))
+        for t in sys.family:
+            s = s + op_compose(op_compose(op_compose(
+                sys.control_prime, op_adjoint(t)), t), sys.control)
+    _finite_fibers(s.groups, s.stacks,
+                   lambda j: f"frame operator at fiber {j}")
+    return s
 
 
 def _mixing_root(sys: ControlledFrameSystem) -> ModuleOperator:
@@ -858,9 +763,10 @@ class ReconstructionResult:
 
 
 def _operator_spectrum(sys: ControlledFrameSystem, s: ModuleOperator):
-    ws = sys.space.weights
-    spectra = fiberwise_pencil_eigvals(
-        [hermitian_part(w @ b) for w, b in zip(ws, s.blocks)], ws)
+    ws = [w[0] for w in sys.space.stacks]
+    spectra = grouped_pencil_eigvals(
+        sys.space.groups,
+        [hermitian_part(w @ b) for w, b in zip(ws, s.stacks)], ws)
     return (min(float(lam[0]) for lam in spectra),
             max(float(lam[-1]) for lam in spectra))
 

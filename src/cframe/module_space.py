@@ -8,9 +8,11 @@ algebra-valued inner product reads, fiber by fiber,
 
 which is linear in the first slot and conjugate-linear in the second.
 All positivity and adjoint formulas downstream are stated against these
-weights, so the space precomputes W^(1/2), W^(-1/2) and W^(-1) once.
-It also groups its fibers by dimension once (`groups`); the frame forms
-and the commutation checks keep one stack per group.
+weights.  The space groups its fibers by dimension once (`groups`) and
+keeps one read-only (4, g, n, n) stack per group, of W, W^(-1), W^(1/2)
+and W^(-1/2), from one stacked eigh; `weights` are per-fiber views into
+it.  Operators hold their blocks the same way, and every stacked
+computation downstream reads these stacks.
 
 A vector keeps its parts end to end in one read-only buffer (`flat`),
 made by the one copy its constructor takes of the input, with the parts
@@ -21,33 +23,76 @@ buffer without stacking them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .errors import SpaceMismatch
-from .spectral import (_as_matrix, _require_definite, _require_hermitian,
-                       size_groups)
+from .errors import NotDefinite, NotHermitian, SpaceMismatch
+from .spectral import (_adjoint, _as_matrix, _fiber_views, _require_definite,
+                       _require_hermitian)
 
 _HERM_RTOL = 1e-12
 
 
-def _check_weight(w, j: int):
-    """Hermitian part and eigh of w, checked square, Hermitian within
-    _HERM_RTOL and definite by spectral._require_definite."""
-    name = f"fiber {j}: weight"
-    w = _require_hermitian(_as_matrix(w, name), name, _HERM_RTOL)
-    return (w, *_require_definite(w, name))
+def _groups(keys) -> tuple[tuple[int, ...], ...]:
+    """Indices of keys grouped by equal key, in order of first
+    appearance and ascending within a group."""
+    out: dict = {}
+    for j, key in enumerate(keys):
+        out.setdefault(key, []).append(j)
+    return tuple(tuple(idx) for idx in out.values())
+
+
+def _weight_stacks(dims, weights, groups) -> tuple[np.ndarray, ...]:
+    """The (4, g, n, n) stacks of the groups' weights, each checked to
+    be an n x n matrix, Hermitian within _HERM_RTOL and definite by
+    _require_definite, with one eigh per group.  When a group fails, the
+    weights are checked again fiber by fiber, so the error raised is the
+    first failing check of the lowest faulty fiber."""
+    stacks = []
+    try:
+        for idx in groups:
+            raw = np.stack([np.asarray(weights[j], dtype=np.complex128)
+                            for j in idx])
+            if raw.shape[1:] != (dims[idx[0]],) * 2:
+                raise ValueError("weight shape does not match dim")
+            w = _require_hermitian(raw, "W", _HERM_RTOL)
+            lam, u = _require_definite(w, "W")
+            lam, uh = lam[:, None, :], _adjoint(u)
+            root = np.sqrt(lam)
+            stack = np.stack([w, (u / lam) @ uh, (u * root) @ uh,
+                              (u / root) @ uh])
+            stack.setflags(write=False)
+            stacks.append(stack)
+        return tuple(stacks)
+    except (ValueError, NotHermitian, NotDefinite) as exc:
+        error = exc
+    for j, (n, w) in enumerate(zip(dims, weights)):
+        name = f"fiber {j}: weight"
+        w = _require_hermitian(_as_matrix(w, name), name, _HERM_RTOL)
+        _require_definite(w, name)
+        if w.shape[0] != n:
+            raise ValueError(f"fiber {j}: weight shape does not match dim")
+    raise error
 
 
 @dataclass(frozen=True, eq=False)
 class ModuleSpace:
-    """Direct sum of weighted fibers, one per algebra character."""
+    """Direct sum of weighted fibers, one per algebra character.
+
+    groups: the fiber indices grouped by dimension, in order of first
+        appearance and ascending within a group; the unit of stacked
+        work.
+    stacks: per group, one read-only (4, g, n, n) array that holds W,
+        W^(-1), W^(1/2) and W^(-1/2) of its g fibers, in that order.
+    weights: per fiber, W_j as a read-only view into its group's stack.
+    """
 
     algebra: Algebra
     dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != self.algebra.d:
@@ -57,21 +102,13 @@ class ModuleSpace:
         dims = tuple(int(n) for n in self.dims)
         if any(n < 1 for n in dims):
             raise ValueError("fiber dimensions must be positive")
-        ws, sq, isq, inv = [], [], [], []
-        for j, (n, w) in enumerate(zip(dims, self.weights)):
-            w, lam, u = _check_weight(w, j)
-            if w.shape[0] != n:
-                raise ValueError(f"fiber {j}: weight shape does not match dim")
-            root = np.sqrt(lam)
-            ws.append(_frozen(w))
-            sq.append(_frozen((u * root) @ u.conj().T))
-            isq.append(_frozen((u / root) @ u.conj().T))
-            inv.append(_frozen((u / lam) @ u.conj().T))
+        groups = _groups(dims)
+        stacks = _weight_stacks(dims, self.weights, groups)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "_w_sqrt", tuple(sq))
-        object.__setattr__(self, "_w_isqrt", tuple(isq))
-        object.__setattr__(self, "_w_inv", tuple(inv))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "weights",
+                           _fiber_views(groups, [s[0] for s in stacks]))
 
     def __eq__(self, other):
         if self is other:
@@ -81,27 +118,23 @@ class ModuleSpace:
         return (
             self.algebra == other.algebra
             and self.dims == other.dims
-            and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
+            and all(np.array_equal(a[0], b[0])
+                    for a, b in zip(self.stacks, other.stacks))
         )
 
     def __hash__(self):
         return hash((self.algebra, self.dims))
 
-    @cached_property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Fiber indices grouped by dimension, in order of first
-        appearance and ascending within a group; the unit of stacked
-        work (one (g, n, n) stack per group)."""
-        return tuple(tuple(idx) for idx in size_groups(self.weights))
-
-    def weight_sqrt(self, j: int) -> np.ndarray:
-        return self._w_sqrt[j]
-
-    def weight_isqrt(self, j: int) -> np.ndarray:
-        return self._w_isqrt[j]
-
-    def weight_inv(self, j: int) -> np.ndarray:
-        return self._w_inv[j]
+    def group_stacks(self, groups) -> tuple[np.ndarray, ...]:
+        """The (4, g, n, n) weight stacks of other groups of fibers of
+        equal dimension, such as an operator's block-shape groups: the
+        space's own stacks for its own groups, else gathered from them."""
+        if groups == self.groups:
+            return self.stacks
+        fibers = _fiber_views(self.groups,
+                              [s.swapaxes(0, 1) for s in self.stacks])
+        return tuple(np.stack([fibers[j] for j in idx], axis=1)
+                     for idx in groups)
 
     def vector(self, parts) -> ModuleVector:
         return ModuleVector(self, tuple(parts))
@@ -110,12 +143,6 @@ class ModuleSpace:
         return ModuleVector(
             self, tuple(np.zeros(n, dtype=np.complex128) for n in self.dims)
         )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
 
 
 def make_space(algebra: Algebra, fibers) -> ModuleSpace:

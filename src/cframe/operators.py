@@ -1,33 +1,53 @@
 """Adjointable operators between finite Hilbert modules.
 
 Operators are fiber-preserving: one complex block per character, acting
-on the matching fiber.  Adjoints and norms are taken in the weighted
-geometry of the spaces, never in the raw Euclidean one, so the block of
-the adjoint is W^(-1) M^H V and the operator norm is the largest
-singular value of V^(1/2) M W^(-1/2) over the fibers.
+on the matching fiber.  End*_A(H) is the direct sum of the fiber matrix
+algebras, so an operator keeps one read-only (g, m, n) stack of blocks
+per group of fibers of one block shape (an endomorphism's groups are
+its space's), and the functions here run once per group.
+
+Adjoints and norms are taken in the weighted geometry of the spaces,
+never in the raw Euclidean one, so the block of the adjoint is
+W^(-1) M^H V and the operator norm is the largest singular value of
+V^(1/2) M W^(-1/2) over the fibers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
-from .module_space import ModuleSpace, ModuleVector
-from .spectral import (_CHECK_RTOL, _finite, fiberwise_pencil_eigvals,
-                       hermitian_part)
+from .errors import NotInvertible, NotPositive, SpaceMismatch
+from .module_space import ModuleSpace, ModuleVector, _groups
+from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
+                       _frobenius, grouped_pencil_eigvals, hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
 
 
+def _block_groups(domain: ModuleSpace, codomain: ModuleSpace):
+    """Fibers grouped by block shape; the domain's groups for equal dims."""
+    if codomain.dims == domain.dims:
+        return domain.groups
+    return _groups(zip(codomain.dims, domain.dims))
+
+
 @dataclass(frozen=True, eq=False)
 class ModuleOperator:
-    """Blockwise linear map between two modules over one algebra."""
+    """Blockwise linear map between two modules over one algebra.
+
+    groups: the fiber indices grouped by block shape, in order of first
+        appearance and ascending within a group.
+    stacks: per group, one read-only (g, m, n) stack of its blocks.
+    blocks: per fiber, its block as a read-only view into the stacks.
+    """
 
     domain: ModuleSpace
     codomain: ModuleSpace
     blocks: tuple[np.ndarray, ...]
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.domain.algebra != self.codomain.algebra:
@@ -36,7 +56,7 @@ class ModuleOperator:
             raise ValueError("need one block per fiber")
         blocks = []
         for j, b in enumerate(self.blocks):
-            arr = np.array(b, dtype=np.complex128)
+            arr = np.asarray(b, dtype=np.complex128)
             if arr.ndim != 2:
                 raise ValueError(f"fiber {j}: block must be a matrix")
             want = (self.codomain.dims[j], self.domain.dims[j])
@@ -44,9 +64,22 @@ class ModuleOperator:
                 raise ValueError(
                     f"fiber {j}: block shape {arr.shape}, expected {want}"
                 )
-            arr.setflags(write=False)
             blocks.append(arr)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self._hold(self.domain, self.codomain,
+                   [np.stack([blocks[j] for j in idx])
+                    for idx in _block_groups(self.domain, self.codomain)])
+
+    def _hold(self, domain, codomain, stacks) -> ModuleOperator:
+        """Make the arrays `stacks`, which nothing else holds, this
+        operator's read-only group stacks, with blocks viewing them."""
+        groups, stacks = _block_groups(domain, codomain), tuple(stacks)
+        for stack in stacks:
+            stack.setflags(write=False)
+        for name, value in (("domain", domain), ("codomain", codomain),
+                            ("groups", groups), ("stacks", stacks),
+                            ("blocks", _fiber_views(groups, stacks))):
+            object.__setattr__(self, name, value)
+        return self
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         if x.space != self.domain:
@@ -59,39 +92,37 @@ class ModuleOperator:
     def __matmul__(self, other: ModuleOperator) -> ModuleOperator:
         return op_compose(self, other)
 
-    def __add__(self, other: ModuleOperator):
+    def _elementwise(self, other, fn, what: str):
         if not isinstance(other, ModuleOperator):
             return NotImplemented
         if other.domain != self.domain or other.codomain != self.codomain:
-            raise SpaceMismatch("operator sum needs matching spaces")
-        return ModuleOperator(
-            self.domain,
-            self.codomain,
-            tuple(a + b for a, b in zip(self.blocks, other.blocks)),
-        )
+            raise SpaceMismatch(f"operator {what} needs matching spaces")
+        return _of_stacks(
+            self.domain, self.codomain,
+            [fn(a, b) for a, b in zip(self.stacks, other.stacks)])
+
+    def __add__(self, other: ModuleOperator):
+        return self._elementwise(other, np.add, "sum")
 
     def __sub__(self, other: ModuleOperator):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise SpaceMismatch("operator difference needs matching spaces")
-        return ModuleOperator(
-            self.domain,
-            self.codomain,
-            tuple(a - b for a, b in zip(self.blocks, other.blocks)),
-        )
+        return self._elementwise(other, np.subtract, "difference")
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return ModuleOperator(
-            self.domain, self.codomain, tuple(scalar * b for b in self.blocks)
-        )
+        return _of_stacks(
+            self.domain, self.codomain, [scalar * s for s in self.stacks])
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
+
+
+def _of_stacks(domain: ModuleSpace, codomain: ModuleSpace,
+               stacks) -> ModuleOperator:
+    """The operator with group stacks `stacks`, built without a copy."""
+    return object.__new__(ModuleOperator)._hold(domain, codomain, stacks)
 
 
 @dataclass(frozen=True)
@@ -103,21 +134,16 @@ class OperatorFlags:
 
 
 def identity(space: ModuleSpace) -> ModuleOperator:
-    return ModuleOperator(
-        space, space, tuple(np.eye(n, dtype=np.complex128) for n in space.dims)
-    )
+    return _of_stacks(space, space, [np.eye(w.shape[-1]) + np.zeros_like(w[0])
+                                     for w in space.stacks])
 
 
 def zero_operator(domain: ModuleSpace, codomain: ModuleSpace | None = None) -> ModuleOperator:
     codomain = domain if codomain is None else codomain
-    return ModuleOperator(
-        domain,
-        codomain,
-        tuple(
-            np.zeros((m, n), dtype=np.complex128)
-            for m, n in zip(codomain.dims, domain.dims)
-        ),
-    )
+    return _of_stacks(domain, codomain, [
+        np.zeros((len(idx), codomain.dims[idx[0]], domain.dims[idx[0]]),
+                 dtype=np.complex128)
+        for idx in _block_groups(domain, codomain)])
 
 
 def scalar_operator(space: ModuleSpace, value: complex | float) -> ModuleOperator:
@@ -126,17 +152,19 @@ def scalar_operator(space: ModuleSpace, value: complex | float) -> ModuleOperato
 
 def op_adjoint(t: ModuleOperator) -> ModuleOperator:
     """Adjoint in the weighted inner products: block W^(-1) M^H V."""
-    blocks = tuple(
-        t.domain.weight_inv(j) @ t.blocks[j].conj().T @ t.codomain.weights[j]
-        for j in range(len(t.blocks))
-    )
-    return ModuleOperator(t.codomain, t.domain, blocks)
+    w, v = t.domain.group_stacks(t.groups), t.codomain.group_stacks(t.groups)
+    return _of_stacks(t.codomain, t.domain, [
+        a[1] @ _adjoint(m) @ b[0] for a, m, b in zip(w, t.stacks, v)])
 
 
 def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
-    """Composition t after u."""
+    """Composition t after u, group by group when t, u and the result
+    share their groups, else block by block."""
     if u.codomain != t.domain:
         raise SpaceMismatch("inner spaces do not match for composition")
+    if t.groups == u.groups == _block_groups(u.domain, t.codomain):
+        return _of_stacks(
+            u.domain, t.codomain, [a @ b for a, b in zip(t.stacks, u.stacks)])
     return ModuleOperator(
         u.domain,
         t.codomain,
@@ -144,20 +172,35 @@ def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
     )
 
 
+def _largest_sv(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
+                what) -> float:
+    """Largest singular value of V^(1/2) M W^(-1/2) over every matrix M
+    of the group stacks, with W of the domain and V of the codomain; a
+    stack that is exactly zero adds 0 without a product or an SVD.
+    Raises NotFinite naming what(j) for the lowest fiber j whose product
+    is not finite, or overflows."""
+    w, v = domain.group_stacks(groups), codomain.group_stacks(groups)
+    live = [m.any() for m in stacks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = [b[2] @ m @ a[3] if on else m
+                 for a, m, b, on in zip(w, stacks, v, live)]
+    _finite_fibers(groups, prods, what)
+    worst = 0.0
+    for m, on in zip(prods, live):
+        if on:
+            worst = max(worst,
+                        float(np.linalg.svd(m, compute_uv=False).max()))
+    return worst
+
+
 def op_norm(t: ModuleOperator) -> float:
     """Operator norm between the weighted geometries.
 
-    Raises NotFinite for a block that is not finite, or overflows.
+    Raises NotFinite naming the lowest fiber whose block is not finite,
+    or overflows.
     """
-    worst = 0.0
-    for j in range(len(t.blocks)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = (t.codomain.weight_sqrt(j) @ t.blocks[j]
-                 @ t.domain.weight_isqrt(j))
-        _finite(m, f"fiber {j} of an operator")
-        if m.size:
-            worst = max(worst, float(np.linalg.norm(m, 2)))
-    return worst
+    return _largest_sv(t.domain, t.codomain, t.groups, t.stacks,
+                       lambda j: f"fiber {j} of an operator")
 
 
 def op_classify(t: ModuleOperator) -> OperatorFlags:
@@ -165,27 +208,29 @@ def op_classify(t: ModuleOperator) -> OperatorFlags:
 
     Selfadjointness asks W M to be Hermitian fiberwise and positivity
     asks it to be PSD, both within _CHECK_RTOL; invertibility uses the
-    smallest block singular value with a relative cutoff.
+    smallest block singular value with a relative cutoff.  Raises
+    NotFinite naming the lowest fiber where |W M|_F is not finite.
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("classification needs an endomorphism")
+    with np.errstate(over="ignore", invalid="ignore"):
+        wms = [w[0] @ m for w, m in zip(t.domain.stacks, t.stacks)]
+        norms = [_frobenius(wm) for wm in wms]
+    _finite_fibers(t.groups, norms, lambda j: f"fiber {j}: the norm of W M")
     selfadjoint = True
     positive = True
     invertible = True
-    for j in range(len(t.blocks)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            wm = t.domain.weights[j] @ t.blocks[j]
-            norm = float(np.linalg.norm(wm))
-        if not np.isfinite(norm):
-            raise NotFinite(f"fiber {j}: the norm of W M is not finite")
-        bound = _CHECK_RTOL * max(1.0, norm)
-        if np.linalg.norm(wm - wm.conj().T) > bound:
+    for wm, norm, m in zip(wms, norms, t.stacks):
+        bound = _CHECK_RTOL * np.maximum(1.0, norm)
+        skew = _frobenius(wm - _adjoint(wm)) > bound
+        lam = np.linalg.eigvalsh(hermitian_part(wm))[:, 0]
+        if skew.any():
             selfadjoint = False
             positive = False
-        elif float(np.linalg.eigvalsh(hermitian_part(wm))[0]) < -bound:
+        elif np.any(lam < -bound):
             positive = False
-        sv = np.linalg.svd(t.blocks[j], compute_uv=False)
-        if sv.size == 0 or sv[-1] <= _SINGULAR_RTOL * max(1.0, sv[0]):
+        sv = np.linalg.svd(m, compute_uv=False)
+        if np.any(sv[:, -1] <= _SINGULAR_RTOL * np.maximum(1.0, sv[:, 0])):
             invertible = False
     return OperatorFlags(
         selfadjoint=selfadjoint,
@@ -205,16 +250,12 @@ def op_sqrt(t: ModuleOperator) -> ModuleOperator:
     flags = op_classify(t)
     if not flags.positive:
         raise NotPositive("square root requires a positive operator")
-    blocks = []
-    for j in range(len(t.blocks)):
-        s = hermitian_part(
-            t.domain.weight_sqrt(j) @ t.blocks[j] @ t.domain.weight_isqrt(j)
-        )
-        lam, u = np.linalg.eigh(s)
-        root = np.sqrt(np.clip(lam, 0.0, None))
-        r = (u * root) @ u.conj().T
-        blocks.append(t.domain.weight_isqrt(j) @ r @ t.domain.weight_sqrt(j))
-    return ModuleOperator(t.domain, t.domain, tuple(blocks))
+    stacks = []
+    for w, m in zip(t.domain.stacks, t.stacks):
+        lam, u = np.linalg.eigh(hermitian_part(w[2] @ m @ w[3]))
+        root = np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+        stacks.append(w[3] @ ((u * root) @ _adjoint(u)) @ w[2])
+    return _of_stacks(t.domain, t.domain, stacks)
 
 
 def op_inverse(t: ModuleOperator) -> ModuleOperator:
@@ -222,27 +263,31 @@ def op_inverse(t: ModuleOperator) -> ModuleOperator:
         raise SpaceMismatch("inverse needs an endomorphism")
     if not op_classify(t).invertible:
         raise NotInvertible("operator has a singular fiber block")
-    return ModuleOperator(
-        t.codomain, t.domain, tuple(np.linalg.inv(b) for b in t.blocks)
-    )
+    return _of_stacks(
+        t.codomain, t.domain, [np.linalg.inv(s) for s in t.stacks])
+
+
+def _adjoint_grams(t: ModuleOperator) -> list[np.ndarray]:
+    """Per group of t, the stack of the Hermitian part of V M W^(-1) M^H V."""
+    w, v = t.domain.group_stacks(t.groups), t.codomain.group_stacks(t.groups)
+    return [hermitian_part(b[0] @ m @ a[1] @ _adjoint(m) @ b[0])
+            for a, m, b in zip(w, t.stacks, v)]
 
 
 def adjoint_gram_matrix(t: ModuleOperator, j: int) -> np.ndarray:
     """Form matrix of y -> <t* y, t* y> at fiber j: V M W^(-1) M^H V."""
-    v = t.codomain.weights[j]
-    return hermitian_part(
-        v @ t.blocks[j] @ t.domain.weight_inv(j) @ t.blocks[j].conj().T @ v
-    )
+    return _fiber_views(t.groups, _adjoint_grams(t))[j]
 
 
 def adjoint_lower_bound(t: ModuleOperator) -> float:
     """Largest m with <t* x, t* x> >= m <x, x> for every x.
 
     Positive exactly when t is surjective.  Computed as the smallest
-    eigenvalue over fibers of the pencil (V M W^(-1) M^H V, V).
+    eigenvalue over fibers of the pencil (V M W^(-1) M^H V, V), one
+    stacked solve per group.
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("adjoint lower bound needs an endomorphism")
-    grams = [adjoint_gram_matrix(t, j) for j in range(len(t.blocks))]
-    spectra = fiberwise_pencil_eigvals(grams, t.codomain.weights)
+    spectra = grouped_pencil_eigvals(t.groups, _adjoint_grams(t),
+                                     [w[0] for w in t.domain.stacks])
     return max(min(float(lam[0]) for lam in spectra), 0.0)

@@ -9,7 +9,9 @@ Hermitian L^-1 P L^-H, and an eigenvector y of it maps back to L^-H y
 (Golub and Van Loan, Matrix Computations, section 8.7).  numpy's
 cholesky, solve and eigh broadcast over (m, n, n) stacks, so fibers of
 one dimension share one call.  This module owns the validation, the
-kernel bookkeeping, and the exact semantics of the restricted infimum.
+kernel bookkeeping, and the exact semantics of the restricted infimum,
+and the helpers every group stack uses: per-fiber views into the
+stacks, and the check that names the lowest non-finite fiber.
 """
 
 from __future__ import annotations
@@ -61,6 +63,34 @@ def _norms(m: np.ndarray) -> np.ndarray:
         big = np.where(big > 0.0, big, 1.0)  # a zero matrix keeps norm 0
         norms = big * np.linalg.norm(m / big[..., None, None], axis=(-2, -1))
     return norms
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bit for bit what
+    np.linalg.norm gives the matrix alone: the square root of two BLAS
+    dots, of the real and of the imaginary entries.  Overflows to inf."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real)
+                   + np.vecdot(flat.imag, flat.imag))
+
+
+def _fiber_views(groups, stacks) -> tuple[np.ndarray, ...]:
+    """Per fiber j = groups[k][i], the view stacks[k][i]."""
+    views: list = [None] * sum(map(len, groups))
+    for idx, stack in zip(groups, stacks):
+        for j, m in zip(idx, stack):
+            views[j] = m
+    return tuple(views)
+
+
+def _finite_fibers(groups, arrays, what) -> None:
+    """NotFinite naming what(j) for the lowest fiber j whose entry in the
+    per-group arrays (entry i of arrays[k] is fiber groups[k][i], a
+    matrix or a number) is not finite."""
+    bad = [idx[i] for idx, a in zip(groups, arrays) if not np.isfinite(a).all()
+           for i in np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(1))]
+    if bad:
+        raise NotFinite(f"{what(min(bad))} is not finite")
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float) -> np.ndarray:
@@ -131,38 +161,16 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     return lam, np.linalg.solve(_adjoint(chol), y)
 
 
-def size_groups(mats) -> list[list[int]]:
-    """Indices of a sequence of square matrices grouped by their size."""
-    groups: dict[int, list[int]] = {}
-    for j, m in enumerate(mats):
-        groups.setdefault(m.shape[-1], []).append(j)
-    return list(groups.values())
-
-
 def grouped_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
     """pencil_eigh(ps[k], gs[k]) for the (m, n, n) stacks of each group k.
 
     groups[k] lists the indices of the m pairs of stack k; the result
     has one read-only row of eigenvalues per index, in index order.
     """
-    out: list = [None] * sum(len(idx) for idx in groups)
-    for idx, p, g in zip(groups, ps, gs):
-        lam = pencil_eigh(p, g)
+    lams = [pencil_eigh(p, g) for p, g in zip(ps, gs)]
+    for lam in lams:
         lam.setflags(write=False)
-        for j, row in zip(idx, lam):
-            out[j] = row
-    return tuple(out)
-
-
-def fiberwise_pencil_eigvals(ps, gs) -> tuple[np.ndarray, ...]:
-    """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
-
-    The pairs are stacked by matrix size, so each size costs one call.
-    """
-    groups = size_groups(gs)
-    return grouped_pencil_eigvals(
-        groups, [np.stack([ps[j] for j in idx]) for idx in groups],
-        [np.stack([gs[j] for j in idx]) for idx in groups])
+    return _fiber_views(groups, lams)
 
 
 def pencil_extremes(p, g) -> PencilResult:

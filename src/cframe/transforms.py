@@ -252,11 +252,13 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     adjoint, the family (T_i q) keeps the same comparison operator and
     its measured optimal bounds M, N sit inside
 
-        A/|q^-1| <= M <= A |q|      A/|q^-1| <= N <= B |q|
+        A/|q^-1| <= M <= A |q|      A |K_j|/|q^-1| <= N <= B |q|
 
-    entrywise in modulus.  The report's bounds are the guaranteed
-    corner A/|q^-1|, B |q|; measured values and the worst bracket slack
-    land in details.
+    entrywise in modulus, with |K_j| the norm of K at fiber j.  The
+    bracket checked here, A/|q^-1| <= N, follows only where |K_j| >= 1:
+    a fiber with |K_j| < 1 can leave a valid system unverified.  The
+    report's bounds are the guaranteed corner A/|q^-1|, B |q|; measured
+    values and the worst bracket slack land in details.
     """
     if not op_classify(q).invertible:
         raise NotInvertible("q must be invertible")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     STATUS_FRAME, STATUS_NOT_FRAME, analysis, certify,
                     check_at, commutation_residual, comparison_form_matrix,
-                    family_gram_matrix, frame_form_matrix, frame_operator,
-                    frame_system, identity, inner_product, make_space,
+                    frame_form_matrix, frame_operator, frame_system,
+                    identity, inner_product, make_space,
                     module_norm, op_adjoint, op_compose, op_norm,
                     optimal_lower_bound, optimal_upper_bound, reconstruct,
                     scalar_operator, synthesis, verify_bounds,
@@ -24,7 +24,7 @@ import cframe.spectral
 from cframe.frames import (_COMMUTE_RTOL, _SKEW_RTOL, CheckReport,
                            _operator_spectrum, _require_algebra)
 from cframe.operators import adjoint_gram_matrix
-from cframe.spectral import (_finite, fiberwise_pencil_eigvals,
+from cframe.spectral import (_finite, grouped_pencil_eigvals,
                              hermitian_part, restricted_pencil_min)
 from cframe.transforms import compose_with_q
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
@@ -59,6 +59,22 @@ def test_frame_operator_doubled_family_scaled_control():
     s = frame_operator(sys2)
     for b in s.blocks:
         np.testing.assert_allclose(b, 4.0 * np.eye(2))
+
+
+def test_frame_operator_names_the_lowest_overflowing_fiber():
+    # Dims [2, 3, 1, 2, 3]: fiber 2 sits in the last group, fiber 3 in
+    # the first.  There C' T* T C is about 1e400; T* T (1e200) and every
+    # product the flags take stay finite.
+    space = make_space(Algebra(5), [2, 3, 1, 2, 3])
+    blocks = [1e-100 * np.eye(n) for n in space.dims]
+    blocks[2] = np.array([[1e100]])
+    blocks[3] = np.diag([1e100, 1.0])
+    t = ModuleOperator(space, space, tuple(blocks))
+    sysm = frame_system(space, [t], control=scalar_operator(space, 1e100),
+                        control_prime=scalar_operator(space, 1e100))
+    with pytest.raises(NotFinite) as err:
+        frame_operator(sysm)
+    assert str(err.value) == "frame operator at fiber 2 is not finite"
 
 
 def test_frame_operator_matches_termwise_sum():
@@ -556,9 +572,10 @@ def test_family_gram_additivity():
     whole = frame_system(space, fam)
     total = np.zeros((3, 3), dtype=np.complex128)
     for t in fam:
-        total += family_gram_matrix(frame_system(space, [t]), 0)
-    np.testing.assert_allclose(family_gram_matrix(whole, 0), total,
-                               atol=1e-12)
+        total += frame_form_matrix(frame_system(space, [t]), 0,
+                                   hermitian=False)
+    np.testing.assert_allclose(frame_form_matrix(whole, 0, hermitian=False),
+                               total, atol=1e-12)
 
 
 def test_with_comparison_swaps_operator():
@@ -600,6 +617,12 @@ def test_flags_match_residuals_taken_one_by_one():
 CONTROL_KINDS = ["identity", "scalar", "diagonal", "hpd"]
 
 
+def weight_inv(space, j):
+    """W_j^-1, read from the space's group stacks."""
+    k = next(k for k, idx in enumerate(space.groups) if j in idx)
+    return space.stacks[k][1][space.groups[k].index(j)]
+
+
 def positive_control(rng, space, kind):
     """A GL+ control of the given kind; None is the identity default.
 
@@ -617,7 +640,7 @@ def positive_control(rng, space, kind):
         p = (np.diag(rng.uniform(0.5, 2.0, size=n)) + 0j if kind == "diagonal"
              else random_hpd(rng, n))
         flat = np.array_equal(space.weights[j], np.eye(n))
-        blocks.append(p if flat else space.weight_inv(j) @ p)
+        blocks.append(p if flat else weight_inv(space, j) @ p)
     return ModuleOperator(space, space, tuple(blocks))
 
 
@@ -725,26 +748,26 @@ def test_commutation_residual_overflow_is_not_finite():
 def count_gram_operands(monkeypatch):
     """Count the T^* T stacks the flags build."""
     calls = []
-    real = cframe.frames._FiberStacks.gram_operand
+    real = cframe.frames._gram
 
-    def counting(self, name, blocks):
+    def counting(name, t):
         calls.append(name)
-        return real(self, name, blocks)
+        return real(name, t)
 
-    monkeypatch.setattr(cframe.frames._FiberStacks, "gram_operand", counting)
+    monkeypatch.setattr(cframe.frames, "_gram", counting)
     return calls
 
 
 def count_residuals(monkeypatch):
     """Count the residuals the flags run, by operand pair."""
     calls = []
-    real = cframe.frames._FiberStacks.residual
+    real = cframe.frames._residual
 
-    def counting(self, x, y):
-        calls.append((x.name, y.name))
-        return real(self, x, y)
+    def counting(space, x, y, norms):
+        calls.append((x[0], y[0]))
+        return real(space, x, y, norms)
 
-    monkeypatch.setattr(cframe.frames._FiberStacks, "residual", counting)
+    monkeypatch.setattr(cframe.frames, "_residual", counting)
     return calls
 
 
@@ -999,6 +1022,31 @@ def test_fiber_with_zero_frame_and_comparison_forms_bounds_nothing():
 
 # -- group stacks against the per-fiber reference ---------------------------
 
+def family_gram_matrix(sys, j):
+    """Sum over the family of M^H W M at fiber j."""
+    n = sys.space.dims[j]
+    w = sys.space.weights[j]
+    acc = np.zeros((n, n), dtype=np.complex128)
+    for t in sys.family:
+        m = t.blocks[j]
+        acc += m.conj().T @ w @ m
+    return acc
+
+
+def fiberwise_pencil_eigvals(ps, gs):
+    """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
+
+    The pairs are stacked by matrix size, so each size costs one call.
+    """
+    by_size = {}
+    for j, m in enumerate(gs):
+        by_size.setdefault(m.shape[-1], []).append(j)
+    groups = list(by_size.values())
+    return grouped_pencil_eigvals(
+        groups, [np.stack([ps[j] for j in idx]) for idx in groups],
+        [np.stack([gs[j] for j in idx]) for idx in groups])
+
+
 def build_forms_reference(sysm):
     """The per-fiber form loop: the reference for the group stacks."""
     phi_raw, phi, gamma = [], [], []
@@ -1121,6 +1169,45 @@ def test_check_at_is_bit_identical_to_the_stacked_reference(dims):
     assert verdicts[cert] == {(True, True)}
     assert any(not low for low, _ in verdicts[probe])
     assert any(not up for _, up in verdicts[probe])
+
+
+def frame_operator_reference(sys):
+    """The per-fiber frame operator blocks."""
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(sys.space.dims)):
+            cp = sys.control_prime.blocks[j]
+            c = sys.control.blocks[j]
+            winv = weight_inv(sys.space, j)
+            w = sys.space.weights[j]
+            acc = np.zeros((sys.space.dims[j], sys.space.dims[j]),
+                           dtype=np.complex128)
+            for t in sys.family:
+                m = t.blocks[j]
+                acc += cp @ (winv @ m.conj().T @ w) @ m @ c
+            blocks.append(_finite(acc, f"frame operator at fiber {j}"))
+    return blocks
+
+
+def operator_spectrum_reference(sys, s):
+    ws = sys.space.weights
+    spectra = fiberwise_pencil_eigvals(
+        [hermitian_part(w @ b) for w, b in zip(ws, s.blocks)], ws)
+    return (min(float(lam[0]) for lam in spectra),
+            max(float(lam[-1]) for lam in spectra))
+
+
+@pytest.mark.parametrize("controls", ["scalar", "hpd"])
+def test_frame_operator_is_bit_identical_to_the_per_fiber_reference(controls):
+    sysm = mixed_system(63, controls)
+    s = frame_operator(sysm)
+    want = frame_operator_reference(sysm)
+    for got, b in zip(s.blocks, want):
+        assert np.array_equal(got, b)
+        assert not got.flags.writeable
+    lo, hi = _operator_spectrum(sysm, s)
+    ref_lo, ref_hi = operator_spectrum_reference(sysm, s)
+    assert (lo.hex(), hi.hex()) == (ref_lo.hex(), ref_hi.hex())
 
 
 def test_check_at_reports_share_no_writable_array():

@@ -154,11 +154,11 @@ def test_weight_roots_and_inverse():
     w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     w = w @ w.conj().T + np.eye(3)
     space = make_space(Algebra(1), [(3, w)])
-    s = space.weight_sqrt(0)
+    _, inv, s, isqrt = space.stacks[0][:, 0]
     np.testing.assert_allclose(s @ s, w, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(space.weight_isqrt(0) @ s, np.eye(3),
+    np.testing.assert_allclose(isqrt @ s, np.eye(3),
                                rtol=1e-11, atol=1e-11)
-    np.testing.assert_allclose(space.weight_inv(0) @ w, np.eye(3),
+    np.testing.assert_allclose(inv @ w, np.eye(3),
                                rtol=1e-11, atol=1e-11)
 
 
@@ -193,6 +193,24 @@ def test_weight_errors_name_the_fiber(weight, error, message):
     with pytest.raises(error) as exc:
         make_space(Algebra(2), [1, (2, weight)])
     assert str(exc.value) == f"fiber 1: {message}"
+
+
+@pytest.mark.parametrize("fiber_2, fiber_3, error, message", [
+    (np.ones((1, 2)), np.ones((2, 3)), ValueError,
+     "weight must be a square matrix"),
+    ([[1.0 + 1.0j]], [[1.0, 1.0], [0.0, 1.0]], NotHermitian,
+     "weight is not Hermitian"),
+    ([[-1.0]], [[1.0, 0.0], [0.0, -1.0]], NotDefinite,
+     "weight is not positive definite"),
+])
+def test_weight_errors_name_the_lowest_faulty_fiber(fiber_2, fiber_3, error,
+                                                    message):
+    # Dims [2, 3, 1, 2, 3]: fiber 2 sits in the last dimension group,
+    # fiber 3 in the first.
+    specs = [2, 3, (1, fiber_2), (2, fiber_3), 3]
+    with pytest.raises(error) as exc:
+        make_space(Algebra(5), specs)
+    assert str(exc.value) == f"fiber 2: {message}"
 
 
 def test_vector_holds_one_read_only_copy_of_its_input():

@@ -6,7 +6,11 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, adjoint_gram_matrix,
                     adjoint_lower_bound, identity, inner_product, make_space,
                     op_adjoint, op_classify, op_compose, op_inverse, op_norm,
                     op_sqrt, scalar_operator, zero_operator)
-from cframe.errors import NotInvertible, NotPositive, SpaceMismatch
+from cframe.errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
+from cframe.operators import _SINGULAR_RTOL
+from cframe.spectral import (_CHECK_RTOL, _as_matrix, _finite,
+                             _require_definite, _require_hermitian,
+                             hermitian_part, pencil_eigh)
 from cframe.testing import (random_hpd, random_operator, random_space,
                             random_vector)
 
@@ -284,3 +288,216 @@ def test_operator_norm_inequality_fiberwise():
         lhs = inner_product(t(x), t(x)).values.real
         rhs = c * inner_product(x, x).values.real
         assert np.all(lhs <= rhs * (1 + 1e-10) + 1e-12)
+
+
+# -- fiber messages: the lowest faulty fiber, wherever its group sits -------
+
+def five_fiber_space():
+    """Dims [2, 3, 1, 2, 3]: groups (0, 3), (1, 4), (2,), so fiber 2
+    sits in the last group and fiber 3 in the first."""
+    return make_space(Algebra(5), [2, 3, 1, 2, 3])
+
+
+def with_blocks(space, changes):
+    blocks = [np.eye(n, dtype=np.complex128) for n in space.dims]
+    for j, b in changes.items():
+        blocks[j] = b
+    return ModuleOperator(space, space, tuple(blocks))
+
+
+def test_op_norm_names_the_lowest_non_finite_fiber():
+    space = five_fiber_space()
+    t = with_blocks(space, {2: np.array([[np.inf]]),
+                            3: np.full((2, 2), np.nan)})
+    with pytest.raises(NotFinite) as err:
+        op_norm(t)
+    assert str(err.value) == "fiber 2 of an operator is not finite"
+
+
+def test_op_classify_names_the_lowest_overflowing_fiber():
+    space = five_fiber_space()
+    t = with_blocks(space, {2: np.array([[1e200]]),
+                            3: np.full((2, 2), 1e200)})
+    with pytest.raises(NotFinite) as err:
+        op_classify(t)
+    assert str(err.value) == "fiber 2: the norm of W M is not finite"
+
+
+# -- group stacks against the per-fiber reference ---------------------------
+# The functions below are the per-fiber implementations the stacked ones
+# replaced, kept verbatim apart from reading the weights through the
+# helpers; every stacked result must equal theirs bit for bit.
+
+def fiber_weights(space, j):
+    """(W, W^-1, W^(1/2), W^(-1/2)) of fiber j, views into the stacks."""
+    k = next(k for k, idx in enumerate(space.groups) if j in idx)
+    return tuple(space.stacks[k][:, space.groups[k].index(j)])
+
+
+def weight_inv(space, j):
+    return fiber_weights(space, j)[1]
+
+
+def weight_sqrt(space, j):
+    return fiber_weights(space, j)[2]
+
+
+def weight_isqrt(space, j):
+    return fiber_weights(space, j)[3]
+
+
+def weight_roots_reference(w):
+    """One weight's Hermitian part, inverse and roots from its own eigh."""
+    w = _require_hermitian(_as_matrix(w, "w"), "w", 1e-12)
+    lam, u = _require_definite(w, "w")
+    root = np.sqrt(lam)
+    return (w, (u / lam) @ u.conj().T, (u * root) @ u.conj().T,
+            (u / root) @ u.conj().T)
+
+
+def op_adjoint_reference(t):
+    blocks = tuple(
+        weight_inv(t.domain, j) @ t.blocks[j].conj().T @ t.codomain.weights[j]
+        for j in range(len(t.blocks))
+    )
+    return ModuleOperator(t.codomain, t.domain, blocks)
+
+
+def op_compose_reference(t, u):
+    return tuple(a @ b for a, b in zip(t.blocks, u.blocks))
+
+
+def op_norm_reference(t):
+    worst = 0.0
+    for j in range(len(t.blocks)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (weight_sqrt(t.codomain, j) @ t.blocks[j]
+                 @ weight_isqrt(t.domain, j))
+        _finite(m, f"fiber {j} of an operator")
+        if m.size:
+            worst = max(worst, float(np.linalg.norm(m, 2)))
+    return worst
+
+
+def op_classify_reference(t):
+    selfadjoint = True
+    positive = True
+    invertible = True
+    for j in range(len(t.blocks)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wm = t.domain.weights[j] @ t.blocks[j]
+            norm = float(np.linalg.norm(wm))
+        if not np.isfinite(norm):
+            raise NotFinite(f"fiber {j}: the norm of W M is not finite")
+        bound = _CHECK_RTOL * max(1.0, norm)
+        if np.linalg.norm(wm - wm.conj().T) > bound:
+            selfadjoint = False
+            positive = False
+        elif float(np.linalg.eigvalsh(hermitian_part(wm))[0]) < -bound:
+            positive = False
+        sv = np.linalg.svd(t.blocks[j], compute_uv=False)
+        if sv.size == 0 or sv[-1] <= _SINGULAR_RTOL * max(1.0, sv[0]):
+            invertible = False
+    return (selfadjoint, positive, invertible)
+
+
+def op_sqrt_reference(t):
+    blocks = []
+    for j in range(len(t.blocks)):
+        s = hermitian_part(
+            weight_sqrt(t.domain, j) @ t.blocks[j] @ weight_isqrt(t.domain, j)
+        )
+        lam, u = np.linalg.eigh(s)
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        r = (u * root) @ u.conj().T
+        blocks.append(weight_isqrt(t.domain, j) @ r @ weight_sqrt(t.domain, j))
+    return tuple(blocks)
+
+
+def adjoint_gram_matrix_reference(t, j):
+    v = t.codomain.weights[j]
+    return hermitian_part(
+        v @ t.blocks[j] @ weight_inv(t.domain, j) @ t.blocks[j].conj().T @ v
+    )
+
+
+def adjoint_lower_bound_reference(t):
+    grams = [adjoint_gram_matrix_reference(t, j) for j in range(len(t.blocks))]
+    spectra = [pencil_eigh(g, w) for g, w in zip(grams, t.codomain.weights)]
+    return max(min(float(lam[0]) for lam in spectra), 0.0)
+
+
+def assert_blocks_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+def test_weight_stacks_equal_the_per_fiber_eigh():
+    rng = np.random.default_rng(60)
+    dims = [1, 3, 2, 3, 1]
+    raw = [random_hpd(rng, n) for n in dims]
+    space = make_space(Algebra(5), list(zip(dims, raw)))
+    for j, w in enumerate(raw):
+        got = fiber_weights(space, j)
+        for a, b in zip(got, weight_roots_reference(w)):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+        assert np.shares_memory(space.weights[j], got[0])
+
+
+def endomorphisms_of_mixed_space(rng):
+    space = random_space(rng, Algebra(5), [1, 3, 2, 3, 1], weights="random")
+    t = random_operator(rng, space)
+    return space, [t, op_compose(op_adjoint(t), t),
+                   op_compose(t, op_adjoint(t)) + identity(space)]
+
+
+def test_stacked_operator_functions_equal_the_per_fiber_reference():
+    rng = np.random.default_rng(61)
+    space, ops = endomorphisms_of_mixed_space(rng)
+    for t in ops:
+        assert t.groups is space.groups
+        assert op_norm(t).hex() == op_norm_reference(t).hex()
+        flags = op_classify(t)
+        assert ((flags.selfadjoint, flags.positive, flags.invertible)
+                == op_classify_reference(t))
+        assert_blocks_equal(op_adjoint(t).blocks,
+                            op_adjoint_reference(t).blocks)
+        assert (adjoint_lower_bound(t).hex()
+                == adjoint_lower_bound_reference(t).hex())
+        for j in range(5):
+            assert np.array_equal(adjoint_gram_matrix(t, j),
+                                  adjoint_gram_matrix_reference(t, j))
+        assert_blocks_equal(op_inverse(t).blocks,
+                            tuple(np.linalg.inv(b) for b in t.blocks))
+        for u in ops:
+            assert_blocks_equal(op_compose(t, u).blocks,
+                                op_compose_reference(t, u))
+    positive = ops[1:]
+    assert all(op_classify(p).positive for p in positive)
+    for p in positive:
+        assert_blocks_equal(op_sqrt(p).blocks, op_sqrt_reference(p))
+
+
+def test_stacked_functions_on_a_map_between_spaces_of_other_dims():
+    rng = np.random.default_rng(62)
+    dom = random_space(rng, Algebra(5), [1, 3, 2, 3, 1], weights="random")
+    cod = random_space(rng, Algebra(5), [2, 2, 1, 3, 2], weights="random")
+    t = random_operator(rng, dom, cod)
+    u = random_operator(rng, cod, dom)
+    # Block shapes split both spaces' groups.
+    assert t.groups == ((0, 4), (1,), (2,), (3,))
+    assert op_norm(t).hex() == op_norm_reference(t).hex()
+    adj = op_adjoint(t)
+    assert_blocks_equal(adj.blocks, op_adjoint_reference(t).blocks)
+    assert op_norm(adj).hex() == op_norm_reference(adj).hex()
+    for j in range(5):
+        assert np.array_equal(adjoint_gram_matrix(t, j),
+                              adjoint_gram_matrix_reference(t, j))
+    for x, y in ((adj, t), (t, adj), (u, t), (t, u)):
+        assert_blocks_equal(op_compose(x, y).blocks,
+                            op_compose_reference(x, y))
+    assert_blocks_equal((t + t * 0.5 - t).blocks,
+                        tuple(b + b * 0.5 - b for b in t.blocks))

@@ -8,7 +8,7 @@ import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
-from cframe.spectral import (_norms, fiberwise_pencil_eigvals, pencil_eigh,
+from cframe.spectral import (_norms, grouped_pencil_eigvals, pencil_eigh,
                              restricted_pencil_mins)
 from cframe.testing import random_hpd
 
@@ -189,7 +189,10 @@ def test_fiberwise_eigvals_group_by_size_bitwise():
     dims = [3, 1, 3, 2, 1, 3]
     ps = [random_hermitian(rng, n) for n in dims]
     gs = [random_hpd(rng, n) for n in dims]
-    got = fiberwise_pencil_eigvals(ps, gs)
+    groups = [[0, 2, 5], [1, 4], [3]]
+    got = grouped_pencil_eigvals(
+        groups, [np.stack([ps[j] for j in idx]) for idx in groups],
+        [np.stack([gs[j] for j in idx]) for idx in groups])
     assert len(got) == len(dims)
     for p, g, lam in zip(ps, gs, got):
         assert np.array_equal(lam, pencil_eigh(p, g))
