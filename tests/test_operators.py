@@ -324,9 +324,8 @@ def test_op_classify_names_the_lowest_overflowing_fiber():
 
 
 # -- group stacks against the per-fiber reference ---------------------------
-# The functions below are the per-fiber implementations the stacked ones
-# replaced, kept verbatim apart from reading the weights through the
-# helpers; every stacked result must equal theirs bit for bit.
+# The functions below compute fiber by fiber, reading the weights through
+# the helpers; every stacked result must equal theirs bit for bit.
 
 def fiber_weights(space, j):
     """(W, W^-1, W^(1/2), W^(-1/2)) of fiber j, views into the stacks."""
