@@ -458,6 +458,9 @@ def test_stacked_operator_functions_equal_the_per_fiber_reference():
     space, ops = endomorphisms_of_mixed_space(rng)
     for t in ops:
         assert t.groups is space.groups
+        for idx, stack in zip(t.groups, t.stacks):
+            assert not stack.flags.writeable
+            assert all(t.blocks[j].base is stack for j in idx)
         assert op_norm(t).hex() == op_norm_reference(t).hex()
         flags = op_classify(t)
         assert ((flags.selfadjoint, flags.positive, flags.invertible)
