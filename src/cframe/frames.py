@@ -12,7 +12,8 @@ Hermitian form per character, so the optimal bounds are extremal
 eigenvalues of matrix pencils: the upper bound against the weight, the
 lower bound against the comparison form with its kernel excluded.
 Certificates are recomputed quantities, never trusted inputs; check_at
-re-evaluates the inequality at any vector.
+re-evaluates the inequality at any vector, and certify's residuals and
+verify_bounds decide it at every vector from spectral.loewner_margins.
 
 Spaces and operators hold one read-only stack per group of fibers of
 equal dimension (`ModuleSpace.groups`), and everything here reads those
@@ -50,6 +51,7 @@ hold with worst residual 0.0.  When the family screen fails, the
 family loop runs as for any control and reports an overflowing
 T_i^* T_i as NotFinite naming the member; when the K screen fails, the
 C-C', C-K and C'-K residuals run and report an overflow the same way.
+Such a control that passes _scalar_glplus is GL+ without op_classify.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
 from .errors import (BadParameters, LengthMismatch, NotCommuting, NotGLPlus,
                      SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, module_norm
-from .operators import (ModuleOperator, _adjoint_grams, _largest_sv,
-                        identity, op_adjoint, op_classify, op_compose,
-                        op_sqrt, zero_operator)
+from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
+                        _largest_sv, identity, op_adjoint, op_classify,
+                        op_compose, op_sqrt, zero_operator)
 from .spectral import (_adjoint, _fiber_views, _finite, _finite_fibers,
                        _frobenius, _norms, grouped_pencil_eigvals,
-                       hermitian_part, restricted_pencil_mins)
+                       hermitian_part, loewner_margins,
+                       restricted_pencil_mins)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -79,8 +82,8 @@ _TIGHT_RTOL = 1e-8
 _SKEW_RTOL = 1e-8
 _VERIFY_TOL = 1e-9
 _RECONSTRUCT_RTOL = 1e-9
-# certify and verify_bounds draw samples x sum(dims) complex values at
-# once (16 bytes each), so this caps the draw at 512 MiB.
+# The largest samples x sum(dims) that certify and verify_bounds accept,
+# the documented --samples limit; the exact check draws no samples.
 _MAX_SAMPLE_ENTRIES = 1 << 25
 # Products the commutation screen admits stay below this, far from the
 # float64 overflow at about 1.8e308.
@@ -140,22 +143,26 @@ def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
         return _residual(space, ("x", x.stacks), ("y", y.stacks), {})
 
 
-def _control_scale(sys: ControlledFrameSystem) -> list[np.ndarray] | None:
-    """Per group, max(1, |c_j|, |c'_j|) when the controls are real
-    scalars c_j I and c'_j I, each block exactly equal to it, else None."""
-    scale = []
-    for pair in zip(sys.control.stacks, sys.control_prime.stacks):
-        c, cp = (s[:, 0, 0].real for s in pair)
-        eye = np.eye(pair[0].shape[-1])
-        if not all(np.array_equal(s, x[:, None, None] * eye)
-                   for s, x in zip(pair, (c, cp))):
-            return None
-        scale.append(np.maximum(1.0, np.maximum(np.abs(c), np.abs(cp))))
-    return scale
+def _real_scalars(op: ModuleOperator) -> list[np.ndarray] | None:
+    """Per group, the real c_j when every block is exactly c_j I, else None."""
+    cs = [s[:, 0, 0].real for s in op.stacks]
+    return cs if all(np.array_equal(s, c[:, None, None] * np.eye(s.shape[-1]))
+                     for s, c in zip(op.stacks, cs)) else None
+
+
+@np.errstate(over="ignore")
+def _scalar_glplus(space: ModuleSpace, c) -> bool:
+    """Whether the real scalars c (_real_scalars) are GL+ by op_classify's
+    rule, known without it: each c_j > 2 _SINGULAR_RTOL max(1, c_j) and
+    c_j max(1, |W_j|_F) < _SCREEN_LIMIT, so c_j W is finite and HPD."""
+    return c is not None and all(
+        np.all((x > 2.0 * _SINGULAR_RTOL * np.maximum(1.0, x))
+               & (x * np.maximum(1.0, _frobenius(w[0])) < _SCREEN_LIMIT))
+        for x, w in zip(c, space.stacks))
 
 
 def _family_commutes_exactly(sys: ControlledFrameSystem, scale) -> bool:
-    """Whether the real-scalar controls with _control_scale `scale`
+    """Whether the real-scalar controls with scale max(1, |c_j|, |c'_j|)
     commute with every T_i^* T_i exactly, known without forming T_i^* T_i.
 
     True when every member block M_j passes the overflow screen
@@ -181,7 +188,7 @@ def _family_commutes_exactly(sys: ControlledFrameSystem, scale) -> bool:
 
 
 def _comparison_commutes_exactly(k: ModuleOperator, scale) -> bool:
-    """Whether the real-scalar controls with _control_scale `scale`
+    """Whether the real-scalar controls with scale max(1, |c_j|, |c'_j|)
     commute with each other and with K exactly.
 
     True when every fiber passes the overflow screen
@@ -209,19 +216,24 @@ class ControlledFrameSystem:
         for t in self.family:
             if t.domain != self.space or t.codomain != self.space:
                 raise SpaceMismatch("family members must be endomorphisms")
+        scalars = []
         for name, op in (("control", self.control),
                          ("control_prime", self.control_prime)):
             if op.domain != self.space or op.codomain != self.space:
                 raise SpaceMismatch(f"{name} must be an endomorphism")
-            if not op_classify(op).glplus:
+            scalars.append(_real_scalars(op))
+            if not (_scalar_glplus(self.space, scalars[-1])
+                    or op_classify(op).glplus):
                 raise NotGLPlus(f"{name} must be positive and invertible")
         k = self.comparison
         if k.domain != self.space or k.codomain != self.space:
             raise SpaceMismatch("comparison operator must be an endomorphism")
-        object.__setattr__(self, "flags", self._compute_flags())
+        object.__setattr__(self, "flags", self._compute_flags(*scalars))
 
-    def _compute_flags(self) -> CommutationFlags:
-        scale = _control_scale(self)
+    def _compute_flags(self, c, cp) -> CommutationFlags:
+        scale = None if c is None or cp is None else [
+            np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+            for x, y in zip(c, cp)]
         # A norm or product that overflows fails its screen.
         with np.errstate(over="ignore"):
             family_exact = (scale is not None
@@ -545,69 +557,25 @@ def _bound_status(lower_holds: bool, upper: AlgebraElement) -> str:
     return STATUS_FRAME if lower_holds else STATUS_BESSEL
 
 
-def _sample_parts(space: ModuleSpace, count: int, seed: int) -> list:
-    """count standard complex normal columns per fiber, fiber by fiber.
-
-    Raises BadParameters, before drawing, when the draw would hold more
-    than _MAX_SAMPLE_ENTRIES values.
-    """
+def _require_sample_count(space: ModuleSpace, count: int) -> None:
     if count * sum(space.dims) > _MAX_SAMPLE_ENTRIES:
         raise BadParameters(
             f"{count} samples of {sum(space.dims)} coordinates exceed the "
             f"limit of {_MAX_SAMPLE_ENTRIES} sampled values")
-    rng = np.random.default_rng(seed)
-    parts = []
-    for n in space.dims:
-        parts.append(
-            (rng.standard_normal((n, count))
-             + 1j * rng.standard_normal((n, count))) / np.sqrt(2.0)
-        )
-    return parts
-
-
-def _form_values(mat: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """x^H mat x for every column x of batch."""
-    return np.einsum("as,as->s", batch.conj(), mat @ batch)
-
-
-def _violations(sys: ControlledFrameSystem, low_sq: np.ndarray,
-                up_sq: np.ndarray, batches: list[np.ndarray]):
-    """Worst relative violation of each inequality over a sample batch.
-
-    Returns (lower, upper, per-sample worst) where the per-sample track
-    is used to pick a witness.  Imaginary mass in the family form counts
-    against both sides, since positivity of the slack fails with it.
-    """
-    forms = sys.forms
-    count = batches[0].shape[1] if batches else 0
-    per_sample = np.zeros(count)
-    worst_lower = -np.inf
-    worst_upper = -np.inf
-    for j, x in enumerate(batches):
-        mid = _form_values(forms.phi_raw[j], x)
-        low = low_sq[j] * _form_values(forms.gamma[j], x).real
-        up = up_sq[j] * _form_values(forms.weight[j], x).real
-        ref = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(up)))
-        imag = np.abs(mid.imag) / ref
-        lv = np.maximum((low - mid.real) / ref, imag)
-        uv = np.maximum((mid.real - up) / ref, imag)
-        # An empty batch (samples=0) leaves both at -inf.
-        worst_lower = max(worst_lower, float(lv.max(initial=-np.inf)))
-        worst_upper = max(worst_upper, float(uv.max(initial=-np.inf)))
-        np.maximum(per_sample, np.maximum(lv, uv), out=per_sample)
-    return worst_lower, worst_upper, per_sample
 
 
 def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
             seed: int = 0) -> FrameCertificate:
-    """Compute optimal bounds, overall status, and sampled residuals.
+    """Compute optimal bounds, overall status, and exact residuals.
 
     Status is `frame` when both recomputed bounds are strictly nonzero
     and every fiber admits a positive lower infimum, `bessel_only` when
     only the upper side survives, `not_frame` otherwise.  Residuals are
-    the worst sampled violations of the two inequalities at the
-    returned bounds, floored at zero.
+    max(0, the worst negative loewner_margins of their side, the worst
+    skew) at the returned bounds, for any samples > 0 and any seed;
+    samples=0 checks nothing and leaves them 0.0.
     """
+    _require_sample_count(sys.space, samples)
     forms = sys.forms
     upper = optimal_upper_bound(sys)
     low = optimal_lower_bound(sys)
@@ -620,12 +588,10 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
         vals[idle] = rest.max() if rest.size else 1.0
         upper = AlgebraElement(upper.algebra, vals)
 
-    raw_norms = [float(_norms(phi)) for phi in forms.phi_raw]
-    skew = 0.0
-    for phi, norm in zip(forms.phi_raw, raw_norms):
-        scale = max(1.0, norm)
-        skew = max(skew, float(_norms(phi - phi.conj().T)) / scale)
-
+    margins = loewner_margins(forms.groups, forms.stacks,
+                              np.abs(low.element.values) ** 2,
+                              np.abs(upper.values) ** 2)
+    skew = float(margins[2].max())
     if skew > _SKEW_RTOL:
         status = STATUS_NOT_FRAME
     else:
@@ -634,22 +600,18 @@ def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
 
     tight = False
     if status == STATUS_FRAME:
-        scale = max([1.0] + raw_norms)
+        scale = max([1.0] + [float(_norms(phi)) for phi in forms.phi_raw])
         worst = 0.0
         for j, (phi, gamma) in enumerate(zip(forms.phi_raw, forms.gamma)):
             a2 = float(np.abs(low.element.values[j]) ** 2)
             worst = max(worst, float(_norms(a2 * gamma - phi)))
         tight = worst <= _TIGHT_RTOL * scale
 
-    lower_res = 0.0
-    upper_res = 0.0
+    lower_res = upper_res = 0.0
     if samples > 0:
-        batches = _sample_parts(sys.space, samples, seed)
-        low_sq = np.abs(low.element.values) ** 2
-        up_sq = np.abs(upper.values) ** 2
-        wl, wu, _ = _violations(sys, low_sq, up_sq, batches)
-        lower_res = max(wl, 0.0)
-        upper_res = max(wu, 0.0)
+        # 0.0 first: max keeps it over a -0.0 margin.
+        lower_res = max(0.0, -float(margins[0].min()), skew)
+        upper_res = max(0.0, -float(margins[1].min()), skew)
 
     return FrameCertificate(
         lower=low.element,
@@ -725,29 +687,30 @@ class VerifyResult:
 def verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
                   upper: AlgebraElement, *, samples: int = 1000,
                   seed: int = 0) -> VerifyResult:
-    """Sampled check that given bound elements satisfy the inequality.
+    """Exact check that given bound elements satisfy the inequality.
 
-    The residual is the worst relative violation found; a negative-free
-    batch verifies within _VERIFY_TOL.  The worst offending sample is
-    returned as a witness when any violation exceeds it.  With samples=0
-    nothing is sampled: the residual is 0.0 and there is no witness, as
-    in certify.  Raises SpaceMismatch unless both bounds are elements
-    of the system's algebra.
+    The residual is certify's larger one at these bounds and verifies
+    within _VERIFY_TOL; else the witness is loewner_margins' worst
+    eigenvector in its fiber, zero elsewhere.  samples=0 checks nothing:
+    residual 0.0, no witness.  SpaceMismatch unless both bounds are
+    elements of the system's algebra.
     """
     _require_algebra(sys, lower, upper)
-    batches = _sample_parts(sys.space, samples, seed)
-    low_sq = np.abs(lower.values) ** 2
-    up_sq = np.abs(upper.values) ** 2
-    wl, wu, per_sample = _violations(sys, low_sq, up_sq, batches)
-    residual = max(wl, wu, 0.0)
-    verified = residual <= _VERIFY_TOL
-    witness = None
-    if not verified and per_sample.size:
-        s = int(np.argmax(per_sample))
-        witness = ModuleVector(
-            sys.space, tuple(b[:, s].copy() for b in batches)
-        )
-    return VerifyResult(verified=verified, residual=residual, witness=witness)
+    _require_sample_count(sys.space, samples)
+    if samples == 0:
+        return VerifyResult(verified=True, residual=0.0, witness=None)
+    forms = sys.forms
+    args = (forms.groups, forms.stacks, np.abs(lower.values) ** 2,
+            np.abs(upper.values) ** 2)
+    margins = loewner_margins(*args)
+    residual = max(0.0, -float(margins[:2].min()), float(margins[2].max()))
+    if residual <= _VERIFY_TOL:
+        return VerifyResult(verified=True, residual=residual, witness=None)
+    _, (j, x) = loewner_margins(*args, witness=True)
+    parts = [np.zeros(n, dtype=np.complex128) for n in sys.space.dims]
+    parts[j] = x
+    return VerifyResult(verified=False, residual=residual,
+                        witness=ModuleVector(sys.space, tuple(parts)))
 
 
 # -- reconstruction ------------------------------------------------------

@@ -4,9 +4,9 @@ Each function here takes a certified system, applies one structural
 change (swap the comparison operator, introduce controls, compose with
 an invertible factor, push through an algebra homomorphism, trade range
 inclusion for a scale), derives new bounds by the matching inequality,
-and then re-verifies the derived bounds by sampling.  Derivations are
-never trusted on their own: every report records a verification verdict
-and the worst residual seen.
+and then re-verifies the derived bounds, exactly and at every vector
+at once (verify_bounds).  Derivations are never trusted on their own:
+every report records a verification verdict and its residual.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (IntertwiningViolated, NotCommuting, NotFinite,
                      NotGLPlus, NotIncluded, NotInvertible, NotSurjective,
                      PreconditionUnverified, SpaceMismatch, ZeroOperator)
 from .frames import (_COMMUTE_RTOL, STATUS_FRAME, ControlledFrameSystem,
-                     FrameCertificate, VerifyResult, certify,
+                     FrameCertificate, certify,
                      commutation_residual, frame_operator, verify_bounds,
                      with_comparison, with_controls, with_family)
 from .module_space import ModuleSpace, ModuleVector, inner_product
@@ -70,16 +70,10 @@ def _is_identity(op: ModuleOperator) -> bool:
 def _report(sys: ControlledFrameSystem, lower: AlgebraElement,
             upper: AlgebraElement, *, samples: int, seed: int,
             details: dict) -> TransformReport:
-    ver: VerifyResult = verify_bounds(sys, lower, upper, samples=samples,
-                                      seed=seed)
-    return TransformReport(
-        lower=lower,
-        upper=upper,
-        verified=ver.verified,
-        residual=ver.residual,
-        witness=ver.witness,
-        details=details,
-    )
+    """The derived bounds with verify_bounds' verdict on them."""
+    ver = verify_bounds(sys, lower, upper, samples=samples, seed=seed)
+    return TransformReport(lower, upper, ver.verified, ver.residual,
+                           ver.witness, details)
 
 
 # -- range inclusion / factorization -------------------------------------

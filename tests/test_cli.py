@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -482,6 +484,20 @@ def test_sample_draw_beyond_the_limit_is_a_json_error(tmp_path, capsys,
     assert out["error"]["type"] == "BadParameters"
     assert "exceed the limit of 33554432 sampled values" in (
         out["error"]["message"])
+
+
+def test_certify_and_invq_leave_numpy_random_unimported(tmp_path, child_env):
+    # the first default_rng call imports numpy.random, about 16 ms of a
+    # cold process; certify and invq draw no samples
+    commands = [["certify", golden("identity_system.json")],
+                ["transform", "invq", write_doc(tmp_path, task_doc())]]
+    code = ("import contextlib, io, sys\n"
+            "from cframe import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.run(c) for c in {commands!r}]\n"
+            "assert codes == [0, 0], codes\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
 
 def test_selftest_without_samples_passes(capsys):

@@ -1,4 +1,6 @@
 from dataclasses import replace
+import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
                     frame_form_matrix, frame_operator, frame_system,
                     identity, inner_product, make_space,
                     module_norm, op_adjoint, op_compose, op_norm,
-                    optimal_lower_bound, optimal_upper_bound, reconstruct,
+                    optimal_lower_bound, optimal_upper_bound, parse_system,
+                    reconstruct,
                     scalar_operator, synthesis, verify_bounds,
                     with_comparison, with_controls, with_family,
                     zero_operator)
@@ -480,6 +483,77 @@ def test_verify_bounds_without_samples():
         assert res.witness is None
 
 
+def one_fiber_system(phi_diag):
+    """One character and one fiber with W = I and K = I, and the family
+    {diag(sqrt(phi_diag))}, so Phi = diag(phi_diag)."""
+    space = make_space(Algebra(1), [len(phi_diag)])
+    t = ModuleOperator(space, space,
+                       (np.diag(np.sqrt(phi_diag)).astype(complex),))
+    return frame_system(space, [t])
+
+
+def test_lower_bound_failing_on_a_thin_set_is_refused():
+    # Phi = diag(1, 2, ..., 2) in dim 32: |A|^2 = 1.5 fails exactly where
+    # |x_1|^2 > sum_{k >= 2} |x_k|^2, a set of probability 2^-31 under a
+    # complex Gaussian draw, so 1000 samples found no violation
+    sysr = one_fiber_system([1.0] + [2.0] * 31)
+    cert = certify(sysr)
+    assert cert.status == STATUS_FRAME
+    alg = sysr.space.algebra
+    lower, upper = alg.element([np.sqrt(1.5)]), alg.element([np.sqrt(2.0)])
+    for seed in range(5):
+        for samples in (1, 1000):
+            res = verify_bounds(sysr, lower, upper, samples=samples,
+                                seed=seed)
+            assert not res.verified
+            # -0.5 over s = max(1, |Phi|_F, |2 I|_F) = 2 sqrt(32)
+            assert res.residual == pytest.approx(0.5 / (2 * np.sqrt(32)),
+                                                 rel=1e-12)
+            rep = check_at(sysr, replace(cert, lower=lower, upper=upper),
+                           res.witness)
+            assert not rep.lower_ok and rep.upper_ok
+
+
+def test_lower_bound_off_by_a_small_eigenvalue_is_refused():
+    # Phi - A^2 Gamma = diag(-1e-6, 1, ..., 1) with n = 8
+    sysr = one_fiber_system([1.0 - 1e-6] + [2.0] * 7)
+    alg = sysr.space.algebra
+    res = verify_bounds(sysr, alg.element([1.0]), alg.element([np.sqrt(2.0)]))
+    assert not res.verified
+    assert res.residual == pytest.approx(1e-6 / (2 * np.sqrt(8)), rel=1e-8)
+    np.testing.assert_allclose(np.abs(res.witness.parts[0]),
+                               np.eye(8)[0], atol=1e-12)
+
+
+def test_exact_residuals_do_not_depend_on_samples_or_seed():
+    sysr = random_system(np.random.default_rng(48), d=3, dims=[2, 3, 2],
+                         ops=3)
+    cert = certify(sysr)
+    probe = (1.2 * cert.lower, 0.9 * cert.upper)
+    seen = set()
+    for samples in (1, 1000):
+        for seed in (0, 3):
+            c = certify(sysr, samples=samples, seed=seed)
+            res = verify_bounds(sysr, *probe, samples=samples, seed=seed)
+            assert not res.verified
+            seen.add((c.lower_residual.hex(), c.upper_residual.hex(),
+                      res.residual.hex()))
+    assert len(seen) == 1
+
+
+def test_identity_system_residuals_are_positive_zero():
+    # the golden report prints 0.0 and selftest asks == 0.0: a -0.0
+    # would change the golden bytes
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "golden",
+                        "identity_system.json")
+    sysg = parse_system(path).build_system()
+    cert = certify(sysg)
+    ver = verify_bounds(sysg, cert.lower, cert.upper)
+    assert ver.verified and ver.witness is None
+    for r in (cert.lower_residual, cert.upper_residual, ver.residual):
+        assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
+
 def test_check_at_wrong_space():
     sys1 = parseval_system()
     other = make_space(Algebra(2), [2, 2])
@@ -872,6 +946,30 @@ def test_nearly_real_scalar_controls_take_the_full_path(monkeypatch, nudge):
     got, want = flag_tuple(sysr), reference_flags(sysr)
     assert got[:3] == want[:3]
     assert got[3].hex() == want[3].hex()
+
+
+@pytest.mark.parametrize("weights", ["identity", "random"])
+@pytest.mark.parametrize("c", [0.0, 1e-300, -1e-300, 1e-12, 1.0, 1e150,
+                               -1.0])
+def test_scalar_control_glplus_verdict_equals_op_classify(monkeypatch, c,
+                                                          weights):
+    space = random_space(np.random.default_rng(49), Algebra(3), [2, 3, 2],
+                         weights=weights)
+    control = scalar_operator(space, c)
+    want = cframe.frames.op_classify(control).glplus
+    classified = []
+    real = cframe.frames.op_classify
+    monkeypatch.setattr(cframe.frames, "op_classify",
+                        lambda t: classified.append(t) or real(t))
+    try:
+        frame_system(space, [identity(space)], control=control)
+        got = True
+    except NotGLPlus as exc:
+        assert str(exc) == "control must be positive and invertible"
+        got = False
+    assert got == want
+    # a GL+ real scalar (and the identity control') skips op_classify
+    assert classified == ([] if want else [control])
 
 
 # -- the per-system form bundle --------------------------------------------
