@@ -422,7 +422,7 @@ def _certificate_json(cert) -> dict:
 def _cmd_certify(args) -> int:
     desc = parse_system(args.file)
     sysm = desc.build_system()
-    cert = certify(sysm, samples=args.samples, seed=args.seed)
+    cert = certify(sysm, samples=args.samples)
     _report("certify", args, desc.algebra, _certificate_json(cert) | {
         "commutation": {
             "controls_commute": sysm.flags.controls_commute,
@@ -436,7 +436,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     desc = parse_system(args.file)
-    cert = certify(desc.build_system(), samples=0, seed=args.seed)
+    cert = certify(desc.build_system(), samples=0)
     result = _certificate_json(cert)
     del result["lower_residual"], result["upper_residual"]
     _report("bounds", args, desc.algebra, result)
@@ -517,20 +517,19 @@ def _transform(desc: SystemDescription, args) -> tuple[dict, bool]:
             "factor_blocks": [_matrix_json(b) for b in sol.factor.blocks],
         }, True
     sysm = desc.build_system()
-    sampling = {"samples": args.samples, "seed": args.seed}
+    # "hom" reads task.hom, every other kind an operator name; argparse
+    # admits no other kind.
+    operand = (_hom_spec(desc) if args.kind == "hom" else
+               _task_operator(desc, "u" if args.kind == "range" else "q"))
+    cert = certify(sysm, samples=args.samples)
     if args.kind == "q":
-        _, report = compose_with_q(sysm, _task_operator(desc, "q"),
-                                   **sampling)
+        _, report = compose_with_q(sysm, operand, cert=cert)
     elif args.kind == "invq":
-        report = invertible_q_bounds(sysm, _task_operator(desc, "q"),
-                                     **sampling)
+        report = invertible_q_bounds(sysm, operand, cert=cert)
     elif args.kind == "range":
-        u = _task_operator(desc, "u")
-        cert = certify(sysm, **sampling)
-        _, report = range_inclusion_transfer(sysm, cert, u, **sampling)
-    else:  # "hom"; argparse admits no other kind
-        _, report = transport(sysm, _hom_spec(desc),
-                              samples=min(args.samples, 200), seed=args.seed)
+        _, report = range_inclusion_transfer(sysm, cert, operand)
+    else:
+        _, report = transport(sysm, operand, cert=cert)
     result = {"lower": report.lower, "upper": report.upper,
               "verified": report.verified, "residual": report.residual}
     return result | report.details, report.verified
@@ -588,7 +587,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
 
     space = make_space(Algebra(2), [2, 3])
     ident_sys = frame_system(space, [identity(space)])
-    cert = certify(ident_sys, samples=samples, seed=seed)
+    cert = certify(ident_sys, samples=samples)
     ones = np.ones(2)
     cases.append({
         "name": "identity_parseval",
@@ -602,7 +601,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
     })
 
     sysm = random_system(rng, d=3, dims=[2, 3, 2], ops=3)
-    cert = certify(sysm, samples=samples, seed=seed)
+    cert = certify(sysm, samples=samples)
     ver = verify_bounds(sysm, cert.lower, cert.upper, samples=samples,
                         seed=seed + 1)
     x = random_vector(rng, sysm.space)
@@ -635,7 +634,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
 
     sys2 = random_system(rng, d=2, dims=[3, 2], ops=2)
     q = diagonal_operator(rng, sys2.space)
-    _, rep = compose_with_q(sys2, q, samples=samples, seed=seed)
+    _, rep = compose_with_q(sys2, q)
     cases.append({
         "name": "family_composition",
         "pass": rep.verified and rep.details[

@@ -564,16 +564,16 @@ def _require_sample_count(space: ModuleSpace, count: int) -> None:
             f"limit of {_MAX_SAMPLE_ENTRIES} sampled values")
 
 
-def certify(sys: ControlledFrameSystem, *, samples: int = 1000,
-            seed: int = 0) -> FrameCertificate:
+def certify(sys: ControlledFrameSystem, *,
+            samples: int = 1000) -> FrameCertificate:
     """Compute optimal bounds, overall status, and exact residuals.
 
     Status is `frame` when both recomputed bounds are strictly nonzero
     and every fiber admits a positive lower infimum, `bessel_only` when
     only the upper side survives, `not_frame` otherwise.  Residuals are
     max(0, the worst negative loewner_margins of their side, the worst
-    skew) at the returned bounds, for any samples > 0 and any seed;
-    samples=0 checks nothing and leaves them 0.0.
+    skew) at the returned bounds, for any samples > 0; samples=0
+    checks nothing and leaves them 0.0.
     """
     _require_sample_count(sys.space, samples)
     forms = sys.forms

@@ -6,7 +6,8 @@ an invertible factor, push through an algebra homomorphism, trade range
 inclusion for a scale), derives new bounds by the matching inequality,
 and then re-verifies the derived bounds, exactly and at every vector
 at once (verify_bounds).  Derivations are never trusted on their own:
-every report records a verification verdict and its residual.
+every report records a verification verdict and its residual.  No
+check draws vectors, so no report depends on a sample count or seed.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .frames import (_COMMUTE_RTOL, STATUS_FRAME, ControlledFrameSystem,
                      FrameCertificate, certify,
                      commutation_residual, frame_operator, verify_bounds,
                      with_comparison, with_controls, with_family)
-from .module_space import ModuleSpace, ModuleVector, inner_product
+from .module_space import ModuleSpace, ModuleVector
 from .operators import (ModuleOperator, adjoint_lower_bound, identity,
                         op_adjoint, op_classify, op_compose, op_inverse,
                         op_norm, op_sqrt)
-from .spectral import pinv
-from .testing import random_vector
+from .spectral import _finite, _norms, grouped_pencil_eigvals, pinv
 
 _IDENT_RTOL = 1e-10
 _SURJ_TOL = 1e-12
@@ -68,10 +68,9 @@ def _is_identity(op: ModuleOperator) -> bool:
 
 
 def _report(sys: ControlledFrameSystem, lower: AlgebraElement,
-            upper: AlgebraElement, *, samples: int, seed: int,
-            details: dict) -> TransformReport:
+            upper: AlgebraElement, details: dict) -> TransformReport:
     """The derived bounds with verify_bounds' verdict on them."""
-    ver = verify_bounds(sys, lower, upper, samples=samples, seed=seed)
+    ver = verify_bounds(sys, lower, upper)
     return TransformReport(lower, upper, ver.verified, ver.residual,
                            ver.witness, details)
 
@@ -119,7 +118,7 @@ def douglas_solve(t: ModuleOperator,
 # -- comparison-operator manipulations -----------------------------------
 
 def derive_k_frame(sys: ControlledFrameSystem, cert: FrameCertificate,
-                   k: ModuleOperator, *, samples: int = 1000, seed: int = 0):
+                   k: ModuleOperator):
     """From plain frame bounds, bounds against a comparison operator k.
 
     The system must be certified with the identity comparison.  The new
@@ -136,14 +135,12 @@ def derive_k_frame(sys: ControlledFrameSystem, cert: FrameCertificate,
         raise ZeroOperator("comparison operator must be nonzero")
     new_sys = with_comparison(sys, k)
     lower = cert.lower * (1.0 / nk)
-    report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     details={"comparison_norm": nk})
+    report = _report(new_sys, lower, cert.upper, {"comparison_norm": nk})
     return new_sys, report
 
 
 def upgrade_by_surjectivity(sys: ControlledFrameSystem,
-                            cert: FrameCertificate, *, samples: int = 1000,
-                            seed: int = 0):
+                            cert: FrameCertificate):
     """From bounds against a surjective comparison, plain frame bounds.
 
     Uses the lower bound m of the comparison adjoint; surjectivity is
@@ -156,8 +153,7 @@ def upgrade_by_surjectivity(sys: ControlledFrameSystem,
         raise NotSurjective("comparison operator is not surjective")
     new_sys = with_comparison(sys, identity(sys.space))
     lower = cert.lower * float(np.sqrt(m))
-    report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     details={"adjoint_lower_bound": m})
+    report = _report(new_sys, lower, cert.upper, {"adjoint_lower_bound": m})
     return new_sys, report
 
 
@@ -165,8 +161,7 @@ def upgrade_by_surjectivity(sys: ControlledFrameSystem,
 
 def control_uncontrolled(sys: ControlledFrameSystem, cert: FrameCertificate,
                          control: ModuleOperator,
-                         control_prime: ModuleOperator, *,
-                         samples: int = 1000, seed: int = 0):
+                         control_prime: ModuleOperator):
     """Turn an uncontrolled certificate into a controlled one.
 
     Requires both controls positive invertible, commuting with each
@@ -194,18 +189,17 @@ def control_uncontrolled(sys: ControlledFrameSystem, cert: FrameCertificate,
     m = adjoint_lower_bound(root)
     new_sys = with_controls(sys, control, control_prime)
     lower = cert.lower * float(np.sqrt(m))
-    upper = cert.upper * op_norm(root)
-    report = _report(new_sys, lower, upper, samples=samples, seed=seed,
-                     details={"root_lower_bound": m,
-                              "root_norm": op_norm(root)})
+    root_norm = op_norm(root)
+    upper = cert.upper * root_norm
+    report = _report(new_sys, lower, upper, {"root_lower_bound": m,
+                                             "root_norm": root_norm})
     return new_sys, report
 
 
 # -- composing the family with a fixed operator --------------------------
 
 def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
-                   cert: FrameCertificate | None = None,
-                   samples: int = 1000, seed: int = 0):
+                   cert: FrameCertificate | None = None):
     """Right-compose every family member with q.
 
     q must commute with both controls and with the comparison operator.
@@ -218,7 +212,7 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
     _require_commuting(q, sys.control_prime, "q and the control'")
     _require_commuting(q, sys.comparison, "q and the comparison operator")
     if cert is None:
-        cert = certify(sys, samples=samples, seed=seed)
+        cert = certify(sys)
     _require_frame(cert, "family composition")
     new_family = tuple(op_compose(t, q) for t in sys.family)
     new_k = op_compose(op_adjoint(q), sys.comparison)
@@ -229,17 +223,15 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
     conj = op_compose(op_adjoint(q), op_compose(s_old, q))
     op_res = op_norm(s_new - conj) / max(op_norm(s_old), 1e-300)
 
-    lower = cert.lower
-    upper = cert.upper * op_norm(q)
-    report = _report(new_sys, lower, upper, samples=samples, seed=seed,
-                     details={"operator_identity_residual": op_res,
-                              "q_norm": op_norm(q)})
+    nq = op_norm(q)
+    report = _report(new_sys, cert.lower, cert.upper * nq,
+                     {"operator_identity_residual": op_res, "q_norm": nq})
     return new_sys, report
 
 
 def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
-                        cert: FrameCertificate | None = None,
-                        samples: int = 1000, seed: int = 0) -> TransformReport:
+                        cert: FrameCertificate | None = None
+                        ) -> TransformReport:
     """Bracket the optimal bounds of the q-composed system.
 
     For invertible q commuting with the controls and the comparison
@@ -248,11 +240,10 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
 
         A/|q^-1| <= M <= A |q|      A |K_j|/|q^-1| <= N <= B |q|
 
-    entrywise in modulus, with |K_j| the norm of K at fiber j.  The
-    bracket checked here, A/|q^-1| <= N, follows only where |K_j| >= 1:
-    a fiber with |K_j| < 1 can leave a valid system unverified.  The
-    report's bounds are the guaranteed corner A/|q^-1|, B |q|; measured
-    values and the worst bracket slack land in details.
+    entrywise in modulus, with |K_j| the norm of K at fiber j, and all
+    four brackets are checked.  The report's bounds are the guaranteed
+    corner A/|q^-1|, B |q|; measured values and the worst bracket slack
+    land in details.
     """
     if not op_classify(q).invertible:
         raise NotInvertible("q must be invertible")
@@ -261,10 +252,16 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     _require_commuting(q, op_adjoint(sys.comparison),
                        "q and the comparison adjoint")
     if cert is None:
-        cert = certify(sys, samples=samples, seed=seed)
+        cert = certify(sys)
     _require_frame(cert, "invertible composition")
     new_sys = with_family(sys, tuple(op_compose(t, q) for t in sys.family))
-    new_cert = certify(new_sys, samples=samples, seed=seed)
+    new_cert = certify(new_sys)
+    # |K_j|^2 is the largest eigenvalue of the pencil (Gamma_j, W_j).
+    forms = new_sys.forms
+    k_sq = grouped_pencil_eigvals(forms.groups,
+                                  [s[1] for s in forms.stacks],
+                                  [s[2] for s in forms.stacks])
+    nk = np.sqrt([max(0.0, float(lam[-1])) for lam in k_sq])
 
     nq = op_norm(q)
     nqi = op_norm(op_inverse(q))
@@ -275,7 +272,7 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     slacks = np.concatenate([
         m - a / nqi,
         a * nq - m,
-        n - a / nqi,
+        n - a * nk / nqi,
         b * nq - n,
     ])
     bracket_slack = float(slacks.min())
@@ -391,14 +388,17 @@ def _conjugate(op: ModuleOperator, hom: HomomorphismSpec, invs,
 
 
 def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
-              cert: FrameCertificate | None = None, samples: int = 100,
-              seed: int = 0):
+              cert: FrameCertificate | None = None):
     """Carry a certified system through an algebra homomorphism.
 
     Builds the unique target system intertwined by the module map,
     certifies it, and checks that its bounds equal the transported
     elements phi(A), phi(B) and that the frame operator transports:
-    <S_target theta x, theta y> = phi(<S_source x, y>) on sample pairs.
+    <S_target theta x, theta y> = phi(<S_source x, y>) for all x, y.
+    That holds exactly when, at each target fiber k with c = char_map[k],
+    the form matrices agree: theta_k^H V_k S_target,k theta_k =
+    W_c S_source,c.  The residual is the largest relative Frobenius
+    distance between them; a product that overflows raises NotFinite.
     """
     invs = _validate_hom(hom, sys.space)
     tgt = hom.target_space
@@ -410,9 +410,9 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
         comparison=_conjugate(sys.comparison, hom, invs, tgt),
     )
     if cert is None:
-        cert = certify(sys, samples=samples, seed=seed)
+        cert = certify(sys)
     _require_frame(cert, "transport")
-    new_cert = certify(new_sys, samples=samples, seed=seed)
+    new_cert = certify(new_sys)
 
     want_lower = phi_element(hom, cert.lower)
     want_upper = phi_element(hom, cert.upper)
@@ -427,18 +427,16 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
 
     s_src = frame_operator(sys)
     s_tgt = frame_operator(new_sys)
-    rng = np.random.default_rng(seed)
     ident_res = 0.0
-    for _ in range(samples):
-        x = random_vector(rng, sys.space)
-        y = random_vector(rng, sys.space)
-        lhs = inner_product(s_tgt(theta_apply(hom, x)), theta_apply(hom, y))
-        rhs = phi_element(hom, inner_product(s_src(x), y))
-        scale = max(1.0, float(np.max(np.abs(rhs.values))))
-        ident_res = max(
-            ident_res,
-            float(np.max(np.abs(lhs.values - rhs.values))) / scale,
-        )
+    for k, c in enumerate(hom.char_map):
+        th = hom.theta_blocks[k]
+        # Overflow leaves inf or nan in diff, which _finite refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sys.space.weights[c] @ s_src.blocks[c]
+            diff = th.conj().T @ tgt.weights[k] @ s_tgt.blocks[k] @ th - want
+        _finite(diff, f"transport identity at target fiber {k}")
+        ident_res = max(ident_res,
+                        float(_norms(diff) / max(1.0, _norms(want))))
 
     verified = (new_cert.status == STATUS_FRAME
                 and bound_res <= _TRANSPORT_RTOL
@@ -463,8 +461,7 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
 # -- range inclusion transfer and the invertibility witness --------------
 
 def range_inclusion_transfer(sys: ControlledFrameSystem,
-                             cert: FrameCertificate, u: ModuleOperator, *,
-                             samples: int = 1000, seed: int = 0):
+                             cert: FrameCertificate, u: ModuleOperator):
     """Swap the comparison operator for one with an included range.
 
     Solves K D = U first; the majorization scale lambda then dampens
@@ -477,9 +474,9 @@ def range_inclusion_transfer(sys: ControlledFrameSystem,
     factor = 1.0 / float(np.sqrt(lam)) if lam > _SURJ_TOL else 1.0
     new_sys = with_comparison(sys, u)
     lower = cert.lower * factor
-    report = _report(new_sys, lower, cert.upper, samples=samples, seed=seed,
-                     details={"majorization_scale": lam,
-                              "factorization_residual": sol.residual})
+    report = _report(new_sys, lower, cert.upper,
+                     {"majorization_scale": lam,
+                      "factorization_residual": sol.residual})
     return new_sys, report
 
 
@@ -493,9 +490,8 @@ class WitnessReport:
 
 def invertibility_witness(sys_u: ControlledFrameSystem,
                           sys_ustar: ControlledFrameSystem,
-                          k: ModuleOperator, u: ModuleOperator, *,
-                          samples: int = 1000,
-                          seed: int = 0) -> WitnessReport:
+                          k: ModuleOperator,
+                          u: ModuleOperator) -> WitnessReport:
     """Certify invertibility of u from two frame certificates.
 
     If both the u-composed and the u*-composed families are frames for
@@ -507,8 +503,8 @@ def invertibility_witness(sys_u: ControlledFrameSystem,
         raise NotSurjective("comparison operator must have dense range")
     _require_commuting(u, sys_u.control, "u and the control")
     _require_commuting(u, sys_u.control_prime, "u and the control'")
-    cert_u = certify(sys_u, samples=samples, seed=seed)
-    cert_ustar = certify(sys_ustar, samples=samples, seed=seed)
+    cert_u = certify(sys_u)
+    cert_ustar = certify(sys_ustar)
     for name, cert in (("u-composed", cert_u), ("u*-composed", cert_ustar)):
         if cert.status != STATUS_FRAME:
             raise PreconditionUnverified(

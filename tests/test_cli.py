@@ -472,6 +472,7 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     ["certify", golden("identity_system.json")],
     ["transform", "q", None],
     ["selftest"],
+    ["transform", "hom", None],
 ])
 def test_sample_draw_beyond_the_limit_is_a_json_error(tmp_path, capsys,
                                                       command):
@@ -488,14 +489,15 @@ def test_sample_draw_beyond_the_limit_is_a_json_error(tmp_path, capsys,
 
 def test_certify_and_invq_leave_numpy_random_unimported(tmp_path, child_env):
     # the first default_rng call imports numpy.random, about 16 ms of a
-    # cold process; certify and invq draw no samples
-    commands = [["certify", golden("identity_system.json")],
-                ["transform", "invq", write_doc(tmp_path, task_doc())]]
+    # cold process; certify and the transforms draw no samples
+    path = write_doc(tmp_path, task_doc())
+    commands = [["certify", golden("identity_system.json")]] + [
+        ["transform", kind, path] for kind in ("invq", "q", "range", "hom")]
     code = ("import contextlib, io, sys\n"
             "from cframe import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.run(c) for c in {commands!r}]\n"
-            "assert codes == [0, 0], codes\n"
+            "assert codes == [0] * 5, codes\n"
             "assert 'numpy.random' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
@@ -510,12 +512,31 @@ def test_selftest_without_samples_passes(capsys):
 
 @pytest.mark.parametrize("kind", ["q", "range"])
 def test_transform_without_samples_verifies(tmp_path, capsys, kind):
-    # samples=0 checks nothing by sampling: residual 0.0, as certify has
+    # --samples 0 skips no transform check: the result is the default one
     path = write_doc(tmp_path, task_doc())
     code, out = run_json(capsys, ["transform", kind, path, "--samples", "0"])
     assert code == 0
     assert out["result"]["verified"] is True
-    assert out["result"]["residual"] == 0.0
+    assert out["result"] == run_json(capsys, ["transform", kind, path])[1][
+        "result"]
+
+
+def test_transform_hom_result_does_not_depend_on_samples_or_seed(
+        tmp_path, capsys):
+    doc = task_doc()
+    # theta_1 rotates fiber 0 by 0.3 rad, so the transported frame
+    # operator is not diagonal and a sampled check would see rounding
+    c, s = np.cos(0.3), np.sin(0.3)
+    doc["task"]["hom"]["theta"][1] = [[c, -s], [s, c]]
+    path = write_doc(tmp_path, doc)
+    results = set()
+    for extra in (["--seed", "0"], ["--seed", "5"], ["--samples", "0"],
+                  ["--samples", "7"], ["--samples", "1000"]):
+        code, out = run_json(capsys, ["transform", "hom", path] + extra)
+        assert code == 0
+        results.add(json.dumps(out["result"], sort_keys=True))
+    assert len(results) == 1
+    assert json.loads(results.pop())["operator_transport_residual"] <= 1e-14
 
 
 def test_operators_list_is_a_json_error(tmp_path, capsys):

@@ -250,7 +250,7 @@ def test_lower_bound_positive_for_diagonal_comparison():
         res = optimal_lower_bound(sysr)
         assert res.ok
         assert np.all(np.abs(res.element.values) > 0)
-        cert = certify(sysr, samples=1000, seed=1)
+        cert = certify(sysr, samples=1000)
         assert cert.lower_residual <= 1e-9
 
 
@@ -532,8 +532,8 @@ def test_exact_residuals_do_not_depend_on_samples_or_seed():
     probe = (1.2 * cert.lower, 0.9 * cert.upper)
     seen = set()
     for samples in (1, 1000):
+        c = certify(sysr, samples=samples)
         for seed in (0, 3):
-            c = certify(sysr, samples=samples, seed=seed)
             res = verify_bounds(sysr, *probe, samples=samples, seed=seed)
             assert not res.verified
             seen.add((c.lower_residual.hex(), c.upper_residual.hex(),

@@ -343,6 +343,21 @@ def test_invertible_q_random_diagonal():
         assert rep.verified
 
 
+def test_invertible_q_brackets_n_by_the_comparison_norm():
+    # one fiber, W = T = 1, K = 0.5: A = 2, B = 1, and q = 2I gives
+    # N = 2, which sits at A |K| / |q^-1| = 2 but below A / |q^-1| = 4
+    space = make_space(Algebra(1), [1])
+
+    def scalar(v):
+        return ModuleOperator(space, space, (np.array([[v]], complex),))
+
+    sysr = frame_system(space, [scalar(1.0)], comparison=scalar(0.5))
+    rep = invertible_q_bounds(sysr, scalar(2.0))
+    assert rep.verified
+    assert rep.details["bracket_slack"] == pytest.approx(0.0, abs=1e-12)
+    assert abs(rep.details["measured_upper"].values[0]) == pytest.approx(2.0)
+
+
 def test_invertible_q_rejects_singular():
     rng = np.random.default_rng(51)
     sysr = random_system(rng, dims=[2, 2])
@@ -420,6 +435,20 @@ def test_transport_weighted_unitary_change_of_frame():
     assert rep.details["operator_transport_residual"] <= 1e-10
     np.testing.assert_allclose(rep.lower.values,
                                cert.lower.values[list(perm)], rtol=1e-12)
+
+
+def test_transport_overflow_is_not_finite():
+    # theta scales by 1e-1.5 into weight 1e3; the target's Phi, 1e309,
+    # overflows although the source's 1e306 does not
+    src = make_space(Algebra(1), [1])
+    tgt = make_space(Algebra(1), [(1, np.array([[1e3]]))])
+    t = ModuleOperator(src, src, (np.array([[1e153]], complex),))
+    sysr = frame_system(src, [t])
+    hom = HomomorphismSpec(char_map=(0,),
+                           theta_blocks=(np.array([[10 ** -1.5]]),),
+                           target_space=tgt)
+    with pytest.raises(NotFinite):
+        transport(sysr, hom)
 
 
 def test_transport_rejects_weight_incompatible_map():
