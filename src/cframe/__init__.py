@@ -34,8 +34,7 @@ from .spectral import (PencilResult, hermitian_part, pencil_extremes, pinv,
 from .transforms import (DouglasSolution, HomomorphismSpec, TransformReport,
                          WitnessReport, compose_with_q, control_uncontrolled,
                          derive_k_frame, douglas_solve, invertibility_witness,
-                         invertible_q_bounds, phi_element,
-                         range_inclusion_transfer, theta_apply, transport,
-                         upgrade_by_surjectivity)
+                         invertible_q_bounds, phi_element, transport,
+                         range_inclusion_transfer, upgrade_by_surjectivity)
 
 __version__ = "0.1.0"

@@ -21,8 +21,8 @@ from .errors import (IntertwiningViolated, NotCommuting, NotFinite,
                      NotGLPlus, NotIncluded, NotInvertible, NotSurjective,
                      PreconditionUnverified, SpaceMismatch, ZeroOperator)
 from .frames import (_COMMUTE_RTOL, STATUS_FRAME, ControlledFrameSystem,
-                     FrameCertificate, certify,
-                     commutation_residual, frame_operator, verify_bounds,
+                     FrameCertificate, _certify, _verify_bounds,
+                     commutation_residual, frame_operator,
                      with_comparison, with_controls, with_family)
 from .module_space import ModuleSpace, ModuleVector
 from .operators import (ModuleOperator, adjoint_lower_bound, identity,
@@ -70,7 +70,7 @@ def _is_identity(op: ModuleOperator) -> bool:
 def _report(sys: ControlledFrameSystem, lower: AlgebraElement,
             upper: AlgebraElement, details: dict) -> TransformReport:
     """The derived bounds with verify_bounds' verdict on them."""
-    ver = verify_bounds(sys, lower, upper)
+    ver = _verify_bounds(sys, lower, upper)
     return TransformReport(lower, upper, ver.verified, ver.residual,
                            ver.witness, details)
 
@@ -212,7 +212,7 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
     _require_commuting(q, sys.control_prime, "q and the control'")
     _require_commuting(q, sys.comparison, "q and the comparison operator")
     if cert is None:
-        cert = certify(sys)
+        cert = _certify(sys)
     _require_frame(cert, "family composition")
     new_family = tuple(op_compose(t, q) for t in sys.family)
     new_k = op_compose(op_adjoint(q), sys.comparison)
@@ -252,10 +252,10 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     _require_commuting(q, op_adjoint(sys.comparison),
                        "q and the comparison adjoint")
     if cert is None:
-        cert = certify(sys)
+        cert = _certify(sys)
     _require_frame(cert, "invertible composition")
     new_sys = with_family(sys, tuple(op_compose(t, q) for t in sys.family))
-    new_cert = certify(new_sys)
+    new_cert = _certify(new_sys)
     # |K_j|^2 is the largest eigenvalue of the pencil (Gamma_j, W_j).
     forms = new_sys.forms
     k_sq = grouped_pencil_eigvals(forms.groups,
@@ -334,14 +334,6 @@ def phi_element(hom: HomomorphismSpec, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(hom.target_space.algebra, vals)
 
 
-def theta_apply(hom: HomomorphismSpec, x: ModuleVector) -> ModuleVector:
-    parts = tuple(
-        hom.theta_blocks[k] @ x.parts[hom.char_map[k]]
-        for k in range(len(hom.char_map))
-    )
-    return ModuleVector(hom.target_space, parts)
-
-
 def _validate_hom(hom: HomomorphismSpec, source: ModuleSpace):
     d_src = source.algebra.d
     invs = []
@@ -410,9 +402,9 @@ def transport(sys: ControlledFrameSystem, hom: HomomorphismSpec, *,
         comparison=_conjugate(sys.comparison, hom, invs, tgt),
     )
     if cert is None:
-        cert = certify(sys)
+        cert = _certify(sys)
     _require_frame(cert, "transport")
-    new_cert = certify(new_sys)
+    new_cert = _certify(new_sys)
 
     want_lower = phi_element(hom, cert.lower)
     want_upper = phi_element(hom, cert.upper)
@@ -503,8 +495,8 @@ def invertibility_witness(sys_u: ControlledFrameSystem,
         raise NotSurjective("comparison operator must have dense range")
     _require_commuting(u, sys_u.control, "u and the control")
     _require_commuting(u, sys_u.control_prime, "u and the control'")
-    cert_u = certify(sys_u)
-    cert_ustar = certify(sys_ustar)
+    cert_u = _certify(sys_u)
+    cert_ustar = _certify(sys_ustar)
     for name, cert in (("u-composed", cert_u), ("u*-composed", cert_ustar)):
         if cert.status != STATUS_FRAME:
             raise PreconditionUnverified(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cframe import (cli, description_from_dict, parse_system, run,
+from cframe import (cli, description_from_dict, frames, parse_system, run,
                     serialize_system)
 from cframe.cli import _parse_matrix
 from cframe.errors import ParseError, ValidationError
@@ -537,6 +537,23 @@ def test_transform_hom_result_does_not_depend_on_samples_or_seed(
         results.add(json.dumps(out["result"], sort_keys=True))
     assert len(results) == 1
     assert json.loads(results.pop())["operator_transport_residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["q", "invq", "range", "hom"])
+def test_transform_refusal_follows_only_the_given_sample_count(
+        tmp_path, capsys, monkeypatch, kind):
+    # task_doc has 3 coordinates, so a limit of 3 sampled values refuses
+    # --samples 1000; --samples 0 still runs every check of the transform
+    path = write_doc(tmp_path, task_doc())
+    want = run_json(capsys, ["transform", kind, path])[1]["result"]
+    monkeypatch.setattr(frames, "_MAX_SAMPLE_ENTRIES", 3)
+    code, out = run_json(capsys, ["transform", kind, path,
+                                  "--samples", "1000"])
+    assert code == 1
+    assert out["error"]["type"] == "BadParameters"
+    code, out = run_json(capsys, ["transform", kind, path, "--samples", "0"])
+    assert code == 0
+    assert out["result"] == want
 
 
 def test_operators_list_is_a_json_error(tmp_path, capsys):

@@ -9,8 +9,8 @@ from cframe import (Algebra, HomomorphismSpec, ModuleOperator, STATUS_FRAME,
                     op_norm, range_inclusion_transfer, transport,
                     upgrade_by_surjectivity, with_comparison, with_family,
                     zero_operator)
-from cframe.errors import (IntertwiningViolated, NotCommuting, NotFinite,
-                           NotGLPlus, NotIncluded, NotInvertible,
+from cframe.errors import (BadParameters, IntertwiningViolated, NotCommuting,
+                           NotFinite, NotGLPlus, NotIncluded, NotInvertible,
                            NotSurjective, PreconditionUnverified,
                            SpaceMismatch, ZeroOperator)
 from cframe.testing import (diagonal_operator, random_hpd, random_operator,
@@ -24,6 +24,35 @@ def one_fiber_op(*blocks):
     return ModuleOperator(space, space,
                           tuple(np.asarray(b, dtype=np.complex128)
                                 for b in blocks))
+
+
+def test_transforms_take_no_sample_count(monkeypatch):
+    # with no sampled value allowed, certify and verify_bounds refuse any
+    # count but 0; the transforms pass none and run their exact checks
+    from cframe import frames, scalar_operator
+    rng = np.random.default_rng(64)
+    sysr = random_system(rng, dims=[2, 3], controls="identity",
+                         comparison="identity")
+    space = sysr.space
+    monkeypatch.setattr(frames, "_MAX_SAMPLE_ENTRIES", 0)
+    with pytest.raises(BadParameters):
+        certify(sysr, samples=1)
+    cert = certify(sysr, samples=0)
+    sys_k, rep_k = derive_k_frame(sysr, cert, scalar_operator(space, 2.0))
+    reports = [
+        rep_k,
+        upgrade_by_surjectivity(sys_k, certify(sys_k, samples=0))[1],
+        control_uncontrolled(sysr, cert, scalar_glplus(rng, space),
+                             scalar_glplus(rng, space))[1],
+        compose_with_q(sysr, scalar_glplus(rng, space))[1],
+        invertible_q_bounds(sysr, scalar_glplus(rng, space)),
+        transport(sysr, HomomorphismSpec((0, 1), (np.eye(2), np.eye(3)),
+                                         space))[1],
+        range_inclusion_transfer(sysr, cert, identity(space))[1],
+    ]
+    assert all(rep.verified for rep in reports)
+    assert invertibility_witness(sysr, sysr, sysr.comparison,
+                                 identity(space)).invertible
 
 
 # -- factorization -------------------------------------------------------
@@ -449,6 +478,23 @@ def test_transport_overflow_is_not_finite():
                            target_space=tgt)
     with pytest.raises(NotFinite):
         transport(sysr, hom)
+
+
+def test_transport_overflowing_identity_is_not_finite(monkeypatch):
+    # theta = 1e-5 into weight 1e10 makes theta^H V = 1e5; with both
+    # frame operators scaled to 4e306 the source side W S stays finite
+    # and the target's product overflows
+    from cframe import transforms
+    src = make_space(Algebra(1), [1])
+    tgt = make_space(Algebra(1), [(1, np.array([[1e10]]))])
+    t = ModuleOperator(src, src, (np.array([[2.0]], complex),))
+    hom = HomomorphismSpec(char_map=(0,), theta_blocks=(np.array([[1e-5]]),),
+                           target_space=tgt)
+    monkeypatch.setattr(transforms, "frame_operator",
+                        lambda s: frame_operator(s) * 1e306)
+    with pytest.raises(NotFinite, match="transport identity at target "
+                                        "fiber 0"):
+        transport(frame_system(src, [t]), hom)
 
 
 def test_transport_rejects_weight_incompatible_map():
