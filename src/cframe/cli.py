@@ -29,8 +29,9 @@ from .errors import (CFrameError, NotFinite, NotIncluded, ParseError,
 from .frames import (STATUS_FRAME, ControlledFrameSystem, _operator_spectrum,
                      certify, frame_operator, frame_system, reconstruct,
                      verify_bounds)
-from .module_space import ModuleSpace, make_space, module_norm
-from .operators import ModuleOperator, identity, op_classify, op_norm
+from .module_space import ModuleSpace, _groups, make_space, module_norm
+from .operators import (ModuleOperator, _of_stacks, identity, op_classify,
+                        op_norm)
 from .sequence_example import (build_example, example_certificate,
                                example_sum_identity)
 from .testing import (diagonal_operator, escape_operator,
@@ -67,8 +68,9 @@ def _parse_complex(v, where: str) -> complex:
     raise ValidationError(f"{where}: expected a number or [re, im] pair")
 
 
-def _homogeneous_matrix(rows: list) -> np.ndarray | None:
-    """One np.array call for a matrix of all numbers or all [re, im] pairs.
+def _homogeneous(rows, ndim: int) -> np.ndarray | None:
+    """One np.array call for an array of ndim axes of all numbers or of
+    all [re, im] pairs.
 
     None for anything else (ragged, mixed, or non-numeric entries), which
     the per-entry walk then accepts or rejects with a message naming the
@@ -80,12 +82,12 @@ def _homogeneous_matrix(rows: list) -> np.ndarray | None:
         return None
     if arr.dtype.kind not in "biuf" or arr.size == 0:
         return None
-    if arr.ndim == 2:
+    if arr.ndim == ndim:
         return arr.astype(np.complex128)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         return None
     # Assign the parts: re + 1j * im would flip a -0.0 real part.
-    out = np.empty(arr.shape[:2], dtype=np.complex128)
+    out = np.empty(arr.shape[:-1], dtype=np.complex128)
     out.real = arr[..., 0]
     out.imag = arr[..., 1]
     return out
@@ -94,13 +96,43 @@ def _homogeneous_matrix(rows: list) -> np.ndarray | None:
 def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{where}: expected a nonempty matrix")
-    out = _homogeneous_matrix(rows)
+    out = _homogeneous(rows, 2)
     if out is None:
         out = _walk_matrix(rows, where)
     if not np.isfinite(out).all():
         i, jj = np.argwhere(~np.isfinite(out))[0]
         raise ValidationError(f"{where}[{i}][{jj}]: entry is not finite")
     return out
+
+
+def _operator_stacks(blocks: list, dims, groups, where: str) -> list:
+    """The (g, n, n) group stacks of one operator's blocks, one per
+    dimension group.
+
+    Each group takes one np.array call.  When a group is not a clean
+    stack of finite numbers or [re, im] pairs of its shape, every block
+    goes through _parse_matrix and the shape check in fiber order, so
+    the error names the lowest faulty fiber and mixed entries are still
+    accepted.
+    """
+    stacks = []
+    for idx in groups:
+        n = dims[idx[0]]
+        stack = _homogeneous([blocks[j] for j in idx], 3)
+        if (stack is None or stack.shape != (len(idx), n, n)
+                or not np.isfinite(stack).all()):
+            break
+        stacks.append(stack)
+    else:
+        return stacks
+    mats = []
+    for j, b in enumerate(blocks):
+        m = _parse_matrix(b, f"{where}[{j}]")
+        if m.shape != (dims[j], dims[j]):
+            raise ValidationError(
+                f"{where}[{j}]: expected shape ({dims[j]}, {dims[j]})")
+        mats.append(m)
+    return [np.stack([mats[j] for j in idx]) for idx in groups]
 
 
 def _walk_matrix(rows: list, where: str) -> np.ndarray:
@@ -247,25 +279,18 @@ def description_from_dict(doc: dict) -> SystemDescription:
     if not ops_doc:
         # Every command needs one; refuse before a space is built.
         raise ValidationError("operators: at least one operator required")
-    op_blocks: dict[str, tuple] = {}
+    groups = _groups(dims)
+    op_stacks: dict[str, list] = {}
     for name, blocks in ops_doc.items():
         if not isinstance(blocks, list) or len(blocks) != d:
             raise ValidationError(
                 f"operators.{name}: need one block per fiber ({d})"
             )
-        mats = []
-        for j, b in enumerate(blocks):
-            m = _parse_matrix(b, f"operators.{name}[{j}]")
-            if m.shape != (dims[j], dims[j]):
-                raise ValidationError(
-                    f"operators.{name}[{j}]: expected shape "
-                    f"({dims[j]}, {dims[j]})"
-                )
-            mats.append(m)
-        op_blocks[name] = tuple(mats)
+        op_stacks[name] = _operator_stacks(blocks, dims, groups,
+                                           f"operators.{name}")
     space = make_space(algebra, specs)
-    ops = {name: ModuleOperator(space, space, mats)
-           for name, mats in op_blocks.items()}
+    ops = {name: _of_stacks(space, space, stacks)
+           for name, stacks in op_stacks.items()}
 
     family = control = control_prime = comparison = None
     fr = doc.get("frame")

@@ -32,16 +32,21 @@ bounds are cached on the certificate, so a call stacks, concatenates
 and squares nothing that does not depend on the vector.
 
 The commutation flags of a system (C with C', C and C' with every
-T_i^* T_i, C and C' with K) are checked in one stacked pass when the
-system is built, on the operators' group stacks; T_i^* T_i is formed
-from the stacks of T_i one member at a time.  Each commutator
-x y - y x costs one stacked matmul pair per group, and a group whose
-commutator is exactly zero adds nothing without an SVD.  Only a nonzero
-numerator takes the stacked SVD of W^(1/2) D W^(-1/2), the one op_norm
-takes, and only then are the two operand norms taken, each at most
-once.  commutation_residual runs the same residual on one pair, for the
-transform preconditions.  A product that overflows raises NotFinite
-naming the operator, so no SVD sees a non-finite stack.
+T_i^* T_i, C and C' with K) are checked when the system is built, on
+the operators' group stacks.  The family is taken in batches of
+members, at most _FLAG_BATCH_ENTRIES block entries each: per group, one
+broadcast product forms W^-1 M^H W M for every member of the batch,
+and each control's commutators with all of them take one stacked
+matmul pair.  A member whose commutator is exactly zero in a group
+adds nothing there without an SVD.  The nonzero numerators of a batch
+take one stacked SVD of W^(1/2) D W^(-1/2) per group, the one op_norm
+takes, and only their operand norms are then taken, each at most once,
+the T_i^* T_i norms in one more stacked SVD.  commutation_residual runs
+the same residual on one pair, for the transform preconditions.  A
+product that overflows raises NotFinite naming the operator, so no SVD
+sees a non-finite stack; a batch that meets one is run again one
+member at a time, so the error names the member and check that the
+members taken in order meet first.
 
 Real-scalar controls (c_j I with c_j real in every fiber, the identity
 among them) commute with each other, with K and with every T_i^* T_i
@@ -62,16 +67,16 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
-from .errors import (BadParameters, LengthMismatch, NotCommuting, NotGLPlus,
-                     SingularFrameOperator, SpaceMismatch)
+from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
+                     NotGLPlus, SingularFrameOperator, SpaceMismatch)
 from .module_space import ModuleSpace, ModuleVector, module_norm
 from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
-                        _largest_sv, identity, op_adjoint, op_classify,
+                        _largest_svs, identity, op_adjoint, op_classify,
                         op_compose, op_sqrt, zero_operator)
-from .spectral import (_adjoint, _fiber_views, _finite, _finite_fibers,
-                       _frobenius, _norms, grouped_pencil_eigvals,
-                       hermitian_part, loewner_margins,
-                       restricted_pencil_mins)
+from .spectral import (_adjoint, _fiber_views, _finite_fibers,
+                       _frobenius, _norms, _psd_restricted_mins,
+                       _valid_pencil_eigvals, grouped_pencil_eigvals,
+                       hermitian_part, loewner_margins)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -88,6 +93,9 @@ _MAX_SAMPLE_ENTRIES = 1 << 25
 # Products the commutation screen admits stay below this, far from the
 # float64 overflow at about 1.8e308.
 _SCREEN_LIMIT = 1e300
+# The block entries of the family members whose T^* T the commutation
+# flags form at once: 2 MB per complex stack of a batch.
+_FLAG_BATCH_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -100,33 +108,83 @@ class CommutationFlags:
     worst_residual: float
 
 
-def _residual(space: ModuleSpace, x, y, norms: dict) -> float:
-    """|x y - y x| / (|x| |y|) for two endomorphisms of space given as
-    (name, group stacks), the commutator taken first.
+def _residuals(space: ModuleSpace, x, ys, norms: dict) -> list[float]:
+    """|x y - y x| / (|x| |y|) for each member y of a batch, the
+    endomorphisms of space x = (name, group stacks) and ys = (names,
+    group stacks of shape (B, g, n, n)), the commutators taken first.
 
-    A group whose commutator is exactly zero adds 0 without an SVD.  The
-    operand norms are taken only for a nonzero numerator, each once per
-    norms, a cache keyed by name, and NotFinite names the operand.
+    A member whose commutator is exactly zero gets 0 without an SVD.
+    The operand norms are taken only for a nonzero numerator, each once
+    per norms, a cache keyed by name, and NotFinite names the operand,
+    or the commutator of the lowest faulty member.
     """
-    (xname, xs), (yname, ys) = x, y
-    what = f"commutator of {xname} and {yname}"
-    diffs = [_finite(a @ b - b @ a, what) for a, b in zip(xs, ys)]
-    num = _largest_sv(space, space, space.groups, diffs, lambda j: what)
-    if num == 0.0:
-        return 0.0
-    for name, stacks in (x, y):
-        if name not in norms:
-            norms[name] = _largest_sv(space, space, space.groups, stacks,
-                                      lambda j: name)
-    return num / max(norms[xname] * norms[yname], 1e-300)
+    (xname, xs), (names, ys) = x, ys
+    what = lambda b, *_: f"commutator of {xname} and {names[b]}"
+    diffs = [a @ b - b @ a for a, b in zip(xs, ys)]
+    _finite_fibers([range(len(names))] * len(diffs), diffs, what)
+    nums = _largest_svs(space, space, space.groups, diffs, what)
+    live = [b for b, num in enumerate(nums) if num != 0.0]
+    if live and xname not in norms:
+        norms[xname] = _largest_svs(space, space, space.groups,
+                                    [a[None] for a in xs],
+                                    lambda b, j: xname)[0]
+    todo = [b for b in live if names[b] not in norms]
+    if todo:
+        sizes = _largest_svs(space, space, space.groups,
+                             [y[todo] for y in ys],
+                             lambda i, j: names[todo[i]])
+        norms.update(zip((names[b] for b in todo), sizes))
+    out = [0.0] * len(names)
+    for b in live:
+        out[b] = nums[b] / max(norms[xname] * norms[names[b]], 1e-300)
+    return out
 
 
-def _gram(name: str, t: ModuleOperator):
-    """T^* T of the member t named name, as (name, group stacks), each
-    stack checked finite."""
-    what = f"{name}^* {name}"
-    tt = op_compose(op_adjoint(t), t)
-    return what, [_finite(s, what) for s in tt.stacks]
+def _residual(space: ModuleSpace, x, y, norms: dict) -> float:
+    """_residuals for the one endomorphism y = (name, group stacks)."""
+    return _residuals(space, x, ((y[0],), [s[None] for s in y[1]]),
+                      norms)[0]
+
+
+def _family_residual(space: ModuleSpace, controls, family, norms) -> float:
+    """The largest _residuals of each control with every T_i^* T_i.
+
+    The members are taken in batches of at most _FLAG_BATCH_ENTRIES
+    block entries, each by _member_residual.  When a batch raises
+    NotFinite it is run again one member at a time, so the error names
+    the member and the check the members taken one by one meet first.
+    """
+    size = sum(w[0].size for w in space.stacks)
+    step = max(1, _FLAG_BATCH_ENTRIES // size)
+    worst = 0.0
+    for start in range(0, len(family), step):
+        batch = range(start, min(start + step, len(family)))
+        try:
+            worst = max(worst, _member_residual(space, controls, family,
+                                                batch, norms))
+        except NotFinite:
+            for i in batch:
+                _member_residual(space, controls, family, range(i, i + 1),
+                                 norms)
+            raise
+    return worst
+
+
+def _member_residual(space: ModuleSpace, controls, family, batch,
+                     norms) -> float:
+    """The largest _residuals of each control with T_i^* T_i for the
+    members i of batch: T^* T = W^-1 M^H W M of every member at once,
+    one stacked product per group, checked finite, then each control's
+    residuals over the batch."""
+    names = [f"family[{i}]^* family[{i}]" for i in batch]
+    grams = []
+    for k, w in enumerate(space.stacks):
+        m = np.stack([family[i].stacks[k] for i in batch])
+        grams.append(w[1] @ _adjoint(m) @ w[0] @ m)
+    _finite_fibers([range(len(batch))] * len(grams), grams,
+                   lambda b: names[b])
+    return max(max(_residuals(space, x, (names, grams), norms))
+               for x in controls)
 
 
 def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
@@ -248,13 +306,8 @@ class ControlledFrameSystem:
         # Overflow is caught by the finite checks, which raise NotFinite.
         with np.errstate(over="ignore", invalid="ignore"):
             worst = _residual(space, c, cp, norms)
-            fam = 0.0
-            if not family_exact:
-                for i, t in enumerate(self.family):
-                    # One member's T^* T stacks are alive at a time.
-                    tt = _gram(f"family[{i}]", t)
-                    fam = max(fam, _residual(space, c, tt, norms))
-                    fam = max(fam, _residual(space, cp, tt, norms))
+            fam = (0.0 if family_exact
+                   else _family_residual(space, (c, cp), self.family, norms))
             kk = max(_residual(space, c, k, norms),
                      _residual(space, cp, k, norms))
         return CommutationFlags(
@@ -345,11 +398,13 @@ class FiberForms:
         """Eigenvalues of the pencil (phi_j, W_j) per fiber, ascending.
 
         Solved on first use, one stacked solve per fiber group; both
-        optimal bounds read it.
+        optimal bounds read it.  Phi is Hermitian and the space has
+        checked W definite, so the solve runs none of pencil_eigh's
+        checks again.
         """
-        return grouped_pencil_eigvals(self.groups,
-                                      [s[3] for s in self.stacks],
-                                      [s[2] for s in self.stacks])
+        return _valid_pencil_eigvals(self.groups,
+                                     [s[3] for s in self.stacks],
+                                     [s[2] for s in self.stacks])
 
 
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
@@ -491,7 +546,9 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
     A fiber with infimum zero (or an indefinite frame form) admits no
     strictly nonzero bound, which fails the whole lower inequality.
     Each fiber group costs one eigh of its Phi stack and one call of
-    restricted_pencil_mins, which gives restricted_pencil_min's values.
+    the restricted_pencil_mins solve, which gives restricted_pencil_min's
+    values; the clipped Phi is PSD by construction, so only Gamma is
+    checked.
     """
     d = len(sys.space.dims)
     forms = sys.forms
@@ -507,8 +564,8 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
         # One eigh of the group's Phi stack, then the PSD parts.
         lam, u = np.linalg.eigh(stack[3][rest])
         phi_psd = (u * np.clip(lam, 0.0, None)[:, None, :]) @ _adjoint(u)
-        for i, val in zip(rest, restricted_pencil_mins(phi_psd,
-                                                       stack[1][rest])):
+        vals = _psd_restricted_mins(hermitian_part(phi_psd), stack[1][rest])
+        for i, val in zip(rest, vals):
             infima[idx[i]] = val
     vacuous = [j for j, v in enumerate(infima) if v == np.inf]
     failed = [j for j, v in enumerate(infima) if dips[j] or v <= 0.0]

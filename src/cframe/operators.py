@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotInvertible, NotPositive, SpaceMismatch
+from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector, _groups
 from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
                        _frobenius, grouped_pencil_eigvals, hermitian_part)
@@ -172,25 +172,38 @@ def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
     )
 
 
-def _largest_sv(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
-                what) -> float:
-    """Largest singular value of V^(1/2) M W^(-1/2) over every matrix M
-    of the group stacks, with W of the domain and V of the codomain; a
-    stack that is exactly zero adds 0 without a product or an SVD.
-    Raises NotFinite naming what(j) for the lowest fiber j whose product
-    is not finite, or overflows."""
+def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
+                 what) -> list[float]:
+    """Per member b of a batch of maps from domain to codomain, given as
+    stacks[k] of shape (B, g, m, n), the blocks of every member at the
+    fibers groups[k]: the largest singular value of V^(1/2) M W^(-1/2)
+    over the member's blocks M, with W of the domain and V of the
+    codomain.
+
+    A member whose stack of a group is exactly zero adds 0 there without
+    a product or an SVD.  Raises NotFinite naming what(b, j) for the
+    lowest member b, and in it the lowest fiber j, whose product is not
+    finite, or overflows.
+    """
     w, v = domain.group_stacks(groups), codomain.group_stacks(groups)
-    live = [m.any() for m in stacks]
+    lives, prods = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = [b[2] @ m @ a[3] if on else m
-                 for a, m, b, on in zip(w, stacks, v, live)]
-    _finite_fibers(groups, prods, what)
-    worst = 0.0
-    for m, on in zip(prods, live):
-        if on:
-            worst = max(worst,
-                        float(np.linalg.svd(m, compute_uv=False).max()))
-    return worst
+        for a, m, b in zip(w, stacks, v):
+            live = np.flatnonzero(m.reshape(len(m), -1).any(axis=1))
+            lives.append(live)
+            prods.append(b[2] @ (m if len(live) == len(m) else m[live])
+                         @ a[3])
+    bad = [(int(live[i]), idx[f])
+           for live, idx, p in zip(lives, groups, prods)
+           for i, f in zip(*np.nonzero(~np.isfinite(p).all(axis=(-2, -1))))]
+    if bad:
+        raise NotFinite(f"{what(*min(bad))} is not finite")
+    worst = np.zeros(len(stacks[0]))
+    for live, p in zip(lives, prods):
+        if len(live):
+            sv = np.linalg.svd(p, compute_uv=False).max(axis=(1, 2))
+            worst[live] = np.maximum(worst[live], sv)
+    return worst.tolist()
 
 
 def op_norm(t: ModuleOperator) -> float:
@@ -199,8 +212,9 @@ def op_norm(t: ModuleOperator) -> float:
     Raises NotFinite naming the lowest fiber whose block is not finite,
     or overflows.
     """
-    return _largest_sv(t.domain, t.codomain, t.groups, t.stacks,
-                       lambda j: f"fiber {j} of an operator")
+    return _largest_svs(t.domain, t.codomain, t.groups,
+                        [s[None] for s in t.stacks],
+                        lambda b, j: f"fiber {j} of an operator")[0]
 
 
 def op_classify(t: ModuleOperator) -> OperatorFlags:

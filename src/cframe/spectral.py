@@ -147,6 +147,12 @@ def pencil_eigh(p, g, *, vectors: bool = False):
     if p.shape != g.shape:
         raise ValueError("P and G must have the same shape")
     _require_definite(g, "G")
+    return _reduced_eigh(p, g, vectors)
+
+
+def _reduced_eigh(p: np.ndarray, g: np.ndarray, vectors: bool = False):
+    """pencil_eigh after its checks: p and g are equal-shape Hermitian
+    stacks, g definite by _require_definite."""
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -167,7 +173,19 @@ def grouped_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
     groups[k] lists the indices of the m pairs of stack k; the result
     has one read-only row of eigenvalues per index, in index order.
     """
-    lams = [pencil_eigh(p, g) for p, g in zip(ps, gs)]
+    return _read_only_rows(groups, [pencil_eigh(p, g) for p, g in zip(ps, gs)])
+
+
+def _valid_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
+    """grouped_pencil_eigvals for stacks known to pass pencil_eigh's
+    checks, such as a system's Phi and W: no check runs again, and only
+    their Hermitian parts are taken, as the checks return them."""
+    return _read_only_rows(groups, [
+        _reduced_eigh(hermitian_part(p), hermitian_part(g))
+        for p, g in zip(ps, gs)])
+
+
+def _read_only_rows(groups, lams) -> tuple[np.ndarray, ...]:
     for lam in lams:
         lam.setflags(write=False)
     return _fiber_views(groups, lams)
@@ -232,7 +250,13 @@ def restricted_pencil_mins(p, g) -> list[float]:
     kernel takes the Schur complement one pair at a time, and a G
     without a positive eigenvalue gives +inf.
     """
-    ps = _require_psd(_as_matrix(p, "P", stacked=True), "P")
+    return _psd_restricted_mins(
+        _require_psd(_as_matrix(p, "P", stacked=True), "P"), g)
+
+
+def _psd_restricted_mins(ps: np.ndarray, g) -> list[float]:
+    """restricted_pencil_mins for a stack ps of Hermitian matrices known
+    to be PSD, taken as they are; g is checked as there."""
     gs = _require_psd(_as_matrix(g, "G", stacked=True), "G")
     if ps.shape != gs.shape:
         raise ValueError("P and G must have the same shape")

@@ -16,6 +16,7 @@ from cframe import (cli, description_from_dict, frames, parse_system, run,
                     serialize_system)
 from cframe.cli import _parse_matrix
 from cframe.errors import ParseError, ValidationError
+from cframe.module_space import _groups
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
 
@@ -184,6 +185,120 @@ def test_parse_matrix_rejects_with_entry_message(rows, message):
 def test_parse_matrix_accepts_mixed_entries():
     got = _parse_matrix([[1, [2.0, -1.0]], [[0.0, 3.0], True]], "m")
     np.testing.assert_array_equal(got, [[1, 2 - 1j], [3j, 1]])
+
+
+def operator_doc(dims, blocks):
+    return {"algebra": {"d": len(dims), "eps_pos": 1e-10},
+            "space": {"fibers": [{"dim": n} for n in dims]},
+            "operators": {"A": blocks}}
+
+
+def per_block_stacks(dims, blocks):
+    """The group stacks of blocks parsed one by one by _parse_matrix."""
+    mats = [_parse_matrix(b, f"A[{j}]") for j, b in enumerate(blocks)]
+    return [np.stack([mats[j] for j in idx]) for idx in _groups(dims)]
+
+
+def parsed_stacks(monkeypatch, dims, blocks):
+    """The operator's group stacks from description_from_dict, and the
+    number of blocks that took the per-block _parse_matrix."""
+    calls = []
+    monkeypatch.setattr(cli, "_parse_matrix",
+                        lambda rows, where: calls.append(where)
+                        or _parse_matrix(rows, where))
+    desc = description_from_dict(operator_doc(dims, blocks))
+    return desc.operators["A"].stacks, len(calls)
+
+
+def assert_bitwise_equal(got, want):
+    assert [s.shape for s in got] == [s.shape for s in want]
+    assert [s.dtype for s in got] == [np.complex128] * len(want)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+# Fibers of dims 2, 1, 2, 1, 3: groups {0, 2}, {1, 3} and {4}.
+GROUP_DIMS = [2, 1, 2, 1, 3]
+BIG = [2 ** 53 + 1, -(2 ** 62 + 3), 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("blocks, per_block", [
+    # -0.0 real and imaginary parts, plain and as pairs
+    ([[[-0.0, 0.0], [1.0, -0.0]], [[-0.0]], [[0.5, -0.0], [-0.0, -2.0]],
+      [[-1.5]], [[-0.0] * 3, [1.0, -0.0, 2.0], [0.0] * 3]], False),
+    ([[[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1.0, 2.0]]],
+      [[[-0.0, -0.0]]],
+      [[[1.0, -0.0], [-0.0, 1.0]], [[0.0, 0.0], [-3.0, -0.0]]],
+      [[[0.0, -0.0]]], [[[-0.0, 1.0]] * 3] * 3], False),
+    # bools, ints and ints above 2^53, with floats in one group
+    ([[[True, False], [1, -2]], [[True]], [[3, BIG[0]], [BIG[1], BIG[2]]],
+      [[0.5]], [[False, 1, 2.5], BIG, [-1, 0, True]]], False),
+    ([[[[True, False], [1, BIG[0]]], [[BIG[1], 0], [2, -0.0]]],
+      [[[False, True]]],
+      [[[1, 1], [0, 0]], [[BIG[2], -1], [True, True]]], [[[7, 8]]],
+      [[[1, 2], [3, 4], [5, 6]]] * 3], False),
+    # a group whose blocks mix plain and pair formats: fibers 0 and 2
+    ([[[1.0, -0.0], [2.0, 3.0]], [[1.0]],
+      [[[1.0, -0.0], [0.0, 2.0]], [[-0.0, 1.0], [3.0, 4.0]]], [[2.0]],
+      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]], True),
+    # a matrix that mixes plain and pair entries: fiber 4
+    ([[[1.0, 0.0], [0.0, 1.0]], [[1.0]], [[2.0, 0.0], [0.0, 2.0]],
+      [[3.0]], [[1, [2.0, -0.0], True], [[-0.0, 3.0], -0.0, BIG[0]],
+                [0.0, 0.0, [1.0, 1.0]]]], True),
+], ids=["negative-zero", "negative-zero-pairs", "bool-int", "bool-int-pairs",
+        "group-mixes-formats", "matrix-mixes-entries"])
+def test_group_parse_equals_per_block_parse(monkeypatch, blocks, per_block):
+    got, walked = parsed_stacks(monkeypatch, GROUP_DIMS, blocks)
+    assert_bitwise_equal(got, per_block_stacks(GROUP_DIMS, blocks))
+    # A clean operator takes one np.array call per group and no
+    # per-block parse; any other goes block by block.
+    assert walked == (len(blocks) if per_block else 0)
+
+
+BLOCK_ENTRIES = st.one_of(REALS, PAIRS)
+
+
+@st.composite
+def operator_blocks(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    blocks = []
+    for n in dims:
+        style = draw(st.sampled_from(["plain", "pairs", "mixed"]))
+        entry = {"plain": REALS, "pairs": PAIRS,
+                 "mixed": BLOCK_ENTRIES}[style]
+        blocks.append([draw(st.lists(entry, min_size=n, max_size=n))
+                       for _ in range(n)])
+    return dims, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_blocks())
+def test_group_parse_equals_per_block_parse_on_drawn_blocks(drawn):
+    dims, blocks = drawn
+    desc = description_from_dict(operator_doc(dims, blocks))
+    assert_bitwise_equal(desc.operators["A"].stacks,
+                         per_block_stacks(dims, blocks))
+
+
+@pytest.mark.parametrize("bad, message", [
+    # fiber 2 is in the first group, fiber 1 in the second
+    ({2: [[1.0, 0.0], [float("nan"), 1.0]], 1: [[float("inf")]]},
+     "operators.A[1][0][0]: entry is not finite"),
+    ({2: [[1.0, 0.0], [0.0, 10 ** 400]], 1: [[[0.0, -float("inf")]]]},
+     "operators.A[1][0][0]: entry is not finite"),
+    ({2: [[1.0, float("inf")], [0.0, 1.0]], 1: [[1.0, 2.0]]},
+     "operators.A[1]: expected shape (1, 1)"),
+    ({2: [[1.0]], 3: [[float("nan")]]}, "operators.A[2]: expected shape "
+                                        "(2, 2)"),
+    ({0: [[1.0, 2.0], [3.0]], 3: [["x"]]}, "operators.A[0]: ragged rows"),
+])
+def test_bad_blocks_in_two_groups_name_the_lowest_fiber(bad, message):
+    dims = [2, 1, 2, 1]
+    blocks = [np.eye(n).tolist() for n in dims]
+    for j, b in bad.items():
+        blocks[j] = b
+    with pytest.raises(ValidationError) as exc:
+        description_from_dict(operator_doc(dims, blocks))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),

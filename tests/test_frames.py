@@ -820,15 +820,15 @@ def test_commutation_residual_overflow_is_not_finite():
 
 
 def count_gram_operands(monkeypatch):
-    """Count the T^* T stacks the flags build."""
+    """Count the members whose T^* T stacks the flags build."""
     calls = []
-    real = cframe.frames._gram
+    real = cframe.frames._member_residual
 
-    def counting(name, t):
-        calls.append(name)
-        return real(name, t)
+    def counting(space, controls, family, batch, norms):
+        calls.extend(f"family[{i}]" for i in batch)
+        return real(space, controls, family, batch, norms)
 
-    monkeypatch.setattr(cframe.frames, "_gram", counting)
+    monkeypatch.setattr(cframe.frames, "_member_residual", counting)
     return calls
 
 
@@ -948,6 +948,112 @@ def test_nearly_real_scalar_controls_take_the_full_path(monkeypatch, nudge):
     assert got[3].hex() == want[3].hex()
 
 
+def family_residual_reference(sysr, c, cp):
+    """max_i max(residual(C, T_i^* T_i), residual(C', T_i^* T_i)), one
+    commutation_residual per pair."""
+    grams = [op_compose(op_adjoint(t), t) for t in sysr.family]
+    return max(commutation_residual(x, g) for g in grams for x in (c, cp))
+
+
+def member_entries(space):
+    return sum(n * n for n in space.dims)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+@pytest.mark.parametrize("controls", ["diagonal", "scalar", "identity"])
+@pytest.mark.parametrize("weights", ["identity", "random"])
+@pytest.mark.parametrize("batch", [None, 2])
+def test_batched_family_residual_equals_member_by_member(monkeypatch, seed,
+                                                         controls, weights,
+                                                         batch):
+    # Mixed dims with two 1 x 1 fibers; with batch set, the family of 5
+    # is taken two members at a time.
+    rng = np.random.default_rng(seed)
+    sysr = random_system(rng, d=5, dims=[3, 1, 2, 1, 3], ops=5,
+                         controls="scalar", weights=weights,
+                         family="generic", comparison="generic")
+    space = sysr.space
+    c, cp = {"diagonal": (diagonal_glplus(rng, space),
+                          diagonal_glplus(rng, space)),
+             "scalar": (scalar_glplus(rng, space), scalar_glplus(rng, space)),
+             "identity": (identity(space), identity(space))}[controls]
+    calls = count_gram_operands(monkeypatch)
+    if batch:
+        monkeypatch.setattr(cframe.frames, "_FLAG_BATCH_ENTRIES",
+                            batch * member_entries(space))
+    got = cframe.frames._family_residual(
+        space, (("control", c.stacks), ("control_prime", cp.stacks)),
+        sysr.family, {})
+    assert got.hex() == family_residual_reference(sysr, c, cp).hex()
+    assert calls == [f"family[{i}]" for i in range(5)]
+    if controls != "diagonal" or weights == "identity":
+        # GL+ controls: the system's own flags equal the reference too.
+        flagged = with_controls(sysr, c, cp)
+        got, want = flag_tuple(flagged), reference_flags(flagged)
+        assert got[:3] == want[:3]
+        assert got[3].hex() == want[3].hex()
+
+
+def test_flags_of_a_family_beyond_one_batch_are_taken_in_batches(
+        monkeypatch):
+    rng = np.random.default_rng(73)
+    sysr = random_system(rng, d=3, dims=[2, 1, 2], ops=7)
+    calls = []
+    real = cframe.frames._member_residual
+    monkeypatch.setattr(
+        cframe.frames, "_member_residual",
+        lambda space, controls, family, batch, norms: calls.append(
+            list(batch)) or real(space, controls, family, batch, norms))
+    monkeypatch.setattr(cframe.frames, "_FLAG_BATCH_ENTRIES",
+                        3 * member_entries(sysr.space))
+    flagged = with_family(sysr, sysr.family)
+    assert calls == [[0, 1, 2], [3, 4, 5], [6]]
+    assert flag_tuple(flagged) == flag_tuple(sysr)
+    assert flag_tuple(flagged)[3].hex() == reference_flags(sysr)[3].hex()
+
+
+def overflowing_family(case):
+    """Diagonal controls and four members: member 2 holds a 1e200 block
+    (its T^* T overflows), or member 1's T^* T is finite but overflows
+    in the commutator with a control of entry 1e10 and member 3 holds a
+    1e200 block."""
+    rng = np.random.default_rng(60)
+    space = random_space(rng, Algebra(3), [2, 1, 2], weights="identity")
+    fam = [random_operator(rng, space) for _ in range(4)]
+    c = diagonal_glplus(rng, space)
+    big = {2: (0, 1e200)} if case == "gram" else {1: (0, 1e150),
+                                                  3: (0, 1e200)}
+    if case != "gram":
+        c = ModuleOperator(space, space, (np.diag([1e10, 1.0]), np.eye(1),
+                                          np.eye(2)))
+    for i, (j, value) in big.items():
+        blocks = list(fam[i].blocks)
+        blocks[j] = np.full((2, 2), value)
+        fam[i] = ModuleOperator(space, space, tuple(blocks))
+    return space, fam, c
+
+
+@pytest.mark.parametrize("case, message, calls", [
+    ("gram", "family[2]^* family[2] is not finite",
+     ["family[0]", "family[1]", "family[2]", "family[3]",
+      "family[0]", "family[1]", "family[2]"]),
+    # The batch's own checks meet member 3 first; member by member,
+    # member 1 fails first, as the flags taken one by one do.
+    ("commutator", "commutator of control and family[1]^* family[1] is "
+                   "not finite",
+     ["family[0]", "family[1]", "family[2]", "family[3]",
+      "family[0]", "family[1]"]),
+])
+def test_overflow_in_a_batch_names_the_member_one_by_one_names(
+        monkeypatch, case, message, calls):
+    space, fam, c = overflowing_family(case)
+    seen = count_gram_operands(monkeypatch)
+    with pytest.raises(NotFinite) as err:
+        frame_system(space, fam, control=c)
+    assert str(err.value) == message
+    assert seen == calls
+
+
 @pytest.mark.parametrize("weights", ["identity", "random"])
 @pytest.mark.parametrize("c", [0.0, 1e-300, -1e-300, 1e-12, 1.0, 1e150,
                                -1.0])
@@ -1011,13 +1117,13 @@ def test_bounds_solve_each_fiber_group_once(monkeypatch):
     rng = np.random.default_rng(27)
     sysr = random_system(rng, d=5, dims=[2, 3, 2, 1, 3], ops=3)
     calls = []
-    solve = cframe.spectral.pencil_eigh
+    solve = cframe.spectral._reduced_eigh
 
-    def counted(p, g, **kw):
+    def counted(p, g, *args):
         calls.append(np.shape(p))
-        return solve(p, g, **kw)
+        return solve(p, g, *args)
 
-    monkeypatch.setattr(cframe.spectral, "pencil_eigh", counted)
+    monkeypatch.setattr(cframe.spectral, "_reduced_eigh", counted)
     optimal_upper_bound(sysr)
     optimal_lower_bound(sysr)
     certify(sysr)
