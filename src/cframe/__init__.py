@@ -21,14 +21,14 @@ from .frames import (STATUS_BESSEL, STATUS_FRAME, STATUS_NOT_FRAME,
                      with_controls, with_family)
 from .module_space import (ModuleSpace, ModuleVector, inner_product,
                            make_space, module_action, module_norm)
-from .operators import (ModuleOperator, OperatorFlags, adjoint_gram_matrix,
-                        adjoint_lower_bound, identity, op_adjoint,
-                        op_classify, op_compose, op_inverse, op_norm, op_sqrt,
-                        scalar_operator, zero_operator)
+from .operators import (ModuleOperator, OperatorFlags, adjoint_lower_bound,
+                        identity, op_adjoint, op_classify, op_compose,
+                        op_inverse, op_norm, op_sqrt, scalar_operator,
+                        zero_operator)
 from .sequence_example import (ExampleCertificate, ExampleSystem, SumIdentity,
                                as_system, build_example, closed_form_element,
-                               comparison_form_element, example_certificate,
-                               example_sum_identity, family_form_element)
+                               example_certificate, example_sum_identity,
+                               family_form_element)
 from .spectral import (PencilResult, hermitian_part, pencil_extremes, pinv,
                        restricted_pencil_min)
 from .transforms import (DouglasSolution, HomomorphismSpec, TransformReport,

@@ -573,8 +573,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_example(args) -> int:
     es = build_example(args.n, args.alpha, args.beta)
-    ec = example_certificate(es, samples=min(args.samples, 200),
-                             seed=args.seed)
+    ec = example_certificate(es)
     _report("example", args, es.space.algebra, {
         "n": es.n_max,
         "alpha": es.alpha,
@@ -672,7 +671,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
     es = build_example(21, 2.0, 3.0)
     x = random_vector(rng, es.space)
     ident = example_sum_identity(es, x)
-    ec = example_certificate(es, samples=64, seed=seed)
+    ec = example_certificate(es)
     cases.append({
         "name": "sequence_example",
         "pass": (ident.residual <= 1e-12 and ec.certificate.tight

@@ -811,8 +811,11 @@ def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
     richardson: z <- z + omega (y - S z) with omega = 2/(l_min + l_max),
     stopped when the relative residual drops below _RECONSTRUCT_RTOL.
     The iteration count realizes the classical (kappa-1)/(kappa+1)
-    contraction rate.
+    contraction rate.  Any other method raises BadParameters before
+    anything is computed.
     """
+    if method not in ("direct", "richardson"):
+        raise BadParameters(f"unknown method {method!r}")
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
     s = frame_operator(sys)
@@ -830,8 +833,6 @@ def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
         )
         res = module_norm(y - s(z)) / ynorm
         return ReconstructionResult(z, "direct", None, res, lo, hi)
-    if method != "richardson":
-        raise ValueError(f"unknown method {method!r}")
     omega = 2.0 / (lo + hi)
     rho = (hi - lo) / (hi + lo)
     max_iter = (8 if rho <= 0 else

@@ -288,11 +288,6 @@ def _adjoint_grams(t: ModuleOperator) -> list[np.ndarray]:
             for a, m, b in zip(w, t.stacks, v)]
 
 
-def adjoint_gram_matrix(t: ModuleOperator, j: int) -> np.ndarray:
-    """Form matrix of y -> <t* y, t* y> at fiber j: V M W^(-1) M^H V."""
-    return _fiber_views(t.groups, _adjoint_grams(t))[j]
-
-
 def adjoint_lower_bound(t: ModuleOperator) -> float:
     """Largest m with <t* x, t* x> >= m <x, x> for every x.
 

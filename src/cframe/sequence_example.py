@@ -15,8 +15,9 @@ sqrt(alpha beta)/sqrt(k) that is usually quoted for this construction
 does not reproduce the sum, and the certificate records that
 discrepancy instead of hiding it.
 
-Every fiber is one-dimensional, so a batch of vectors is one (count, n)
-array, and the forms are evaluated on the whole batch at once.
+Every fiber is one-dimensional, so each form is one coefficient per
+fiber times |x_n|^2, its value at x = (1, ..., 1), and every check the
+certificate reports is a scalar identity per fiber.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .operators import ModuleOperator, scalar_operator
 _EQ_RTOL = 1e-12
 # Largest truncation length build_example accepts; its arrays grow as n^2.
 _N_MAX = 1001
-# Array elements per chunk of sampled vectors in example_certificate.
-_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,77 +109,41 @@ def as_system(es: ExampleSystem) -> ControlledFrameSystem:
     )
 
 
-def draw_vectors(es: ExampleSystem, count: int, rng) -> np.ndarray:
-    """count random vectors of the example space as a (count, n) array.
-
-    Row s equals the parts of the s-th of count testing.random_vector
-    calls on rng, bit for bit: with one-dimensional fibers those calls
-    draw, vector by vector and fiber by fiber, a real and an imaginary
-    part, which is the order of one (count, n, 2) draw.
-    """
-    z = rng.standard_normal((count, es.n_max, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-
-
-def _row(x: ModuleVector) -> np.ndarray:
-    return x.flat[None, :]
-
-
-def family_form_values(es: ExampleSystem, xs: np.ndarray) -> np.ndarray:
-    """sum_k <L_k C x, L_k C' x> for every row x of xs, term by term.
+def _family_values(es: ExampleSystem, x: np.ndarray) -> np.ndarray:
+    """sum_k <L_k C x, L_k C' x> at the flat vector x, term by term.
 
     Each member is supported on its single sampled fiber, so the term
     is read off the stored block and weight there; the untouched fibers
     contribute exact zeros.
     """
     _, cols, coef, weights = es._terms
-    x = xs[:, cols]
-    left = coef * (es.alpha * x)
-    right = coef * (es.beta * x)
-    vals = np.zeros(xs.shape, dtype=np.complex128)
-    vals[:, cols] += np.conj(right) * weights[cols] * left
+    vals = np.zeros(x.shape, dtype=np.complex128)
+    vals[cols] = (np.conj(coef * (es.beta * x[cols])) * weights[cols]
+                  * (coef * (es.alpha * x[cols])))
     return vals
 
 
-def comparison_form_values(es: ExampleSystem, xs: np.ndarray) -> np.ndarray:
-    """The displayed adjoint form of the odd-coordinate map, per row.
-
-    Coordinate 2k+1 carries |x_{2k+1}|^2/(2k+1); everything else is 0.
-    """
+def _closed_values(es: ExampleSystem, x: np.ndarray) -> np.ndarray:
+    """alpha beta |x_{2k+1}|^2/(2k+1)^2 at coordinate 2k+1."""
     hits, cols, _, _ = es._terms
-    vals = np.zeros(xs.shape, dtype=np.complex128)
-    vals[:, cols] = np.abs(xs[:, cols]) ** 2 / hits
-    return vals
-
-
-def closed_form_values(es: ExampleSystem, xs: np.ndarray) -> np.ndarray:
-    """alpha beta |x_{2k+1}|^2/(2k+1)^2 at coordinate 2k+1, per row."""
-    hits, cols, _, _ = es._terms
-    vals = np.zeros(xs.shape, dtype=np.complex128)
-    vals[:, cols] = es.alpha * es.beta * np.abs(xs[:, cols]) ** 2 / hits**2
+    vals = np.zeros(x.shape, dtype=np.complex128)
+    vals[cols] = es.alpha * es.beta * np.abs(x[cols]) ** 2 / hits**2
     return vals
 
 
 def family_form_element(es: ExampleSystem, x: ModuleVector) -> AlgebraElement:
-    """family_form_values at one vector."""
-    return AlgebraElement(es.space.algebra, family_form_values(es, _row(x))[0])
-
-
-def comparison_form_element(es: ExampleSystem, x: ModuleVector) -> AlgebraElement:
-    """comparison_form_values at one vector."""
-    return AlgebraElement(es.space.algebra,
-                          comparison_form_values(es, _row(x))[0])
+    """The family sum sum_k <L_k C x, L_k C' x>, term by term."""
+    return AlgebraElement(es.space.algebra, _family_values(es, x.flat))
 
 
 def closed_form_element(es: ExampleSystem, x: ModuleVector) -> AlgebraElement:
-    """closed_form_values at one vector."""
-    return AlgebraElement(es.space.algebra, closed_form_values(es, _row(x))[0])
+    """The closed form alpha beta |x_{2k+1}|^2/(2k+1)^2 of the family sum."""
+    return AlgebraElement(es.space.algebra, _closed_values(es, x.flat))
 
 
-def _row_gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """max |lhs - rhs| / max(1, max |rhs|) per row."""
-    scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
-    return np.abs(lhs - rhs).max(axis=1) / scale
+def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max |lhs - rhs| / max(1, max |rhs|)."""
+    return float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +157,7 @@ def example_sum_identity(es: ExampleSystem, x: ModuleVector) -> SumIdentity:
     """Term-by-term family sum against its closed form, with residual."""
     lhs = family_form_element(es, x)
     rhs = closed_form_element(es, x)
-    res = float(_row_gaps(lhs.values[None], rhs.values[None])[0])
-    return SumIdentity(lhs=lhs, rhs=rhs, residual=res)
+    return SumIdentity(lhs=lhs, rhs=rhs, residual=_gap(lhs.values, rhs.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,20 +172,22 @@ class ExampleCertificate:
     identity_residual: float
 
 
-def example_certificate(es: ExampleSystem, *, samples: int = 100,
-                        seed: int = 0) -> ExampleCertificate:
+def example_certificate(es: ExampleSystem) -> ExampleCertificate:
     """Tight certificate for the sequence system.
 
     The fitted scaling per sampled fiber is the ratio of the family sum
-    to the comparison form; it is independent of the vector, which the
-    sampling re-checks on max(samples, 1) vectors drawn from seed, a
-    bounded number of rows at a time whatever samples is.  The
-    nominal sqrt(alpha beta)/sqrt(k) scaling is evaluated against the
-    same equality and flagged when it fails.  Fibers the comparison
-    form never touches carry the largest fitted value and are listed as
-    vacuous.  The status applies certify's rule to these lower and
-    upper elements.  identity_residual is the worst example_sum_identity
-    residual over the first samples of those vectors (0.0 for none).
+    to the comparison form |x_{2k+1}|^2/(2k+1); it is independent of
+    the vector.  The nominal sqrt(alpha beta)/sqrt(k) scaling is
+    evaluated against the same equality and flagged when it fails.
+    Fibers the comparison form never touches carry the largest fitted
+    value and are listed as vacuous.  The status applies certify's rule
+    to these lower and upper elements.
+
+    Each form is a per-fiber coefficient times |x_n|^2, so every figure
+    is its per-vector formula at x = (1, ..., 1), which holds for every
+    x: identity_residual is example_sum_identity's residual there, and
+    the equality, nominal and Bessel figures are scaled by
+    max(1, max |family coefficient|).
     """
     ab = es.alpha * es.beta
     odd = es.sample_indices
@@ -239,30 +203,17 @@ def example_certificate(es: ExampleSystem, *, samples: int = 100,
     for j in vacuous:
         lower_vals[j] = fill
 
-    weights = es._terms[-1]
-    rng = np.random.default_rng(seed)
-    total = max(samples, 1)
-    step = max(1, _CHUNK_ELEMS // es.n_max)
-    ident_res = eq_res = nom_res = 0.0
-    bessel_slack = np.inf
-    # Consecutive draws continue one stream, so the chunks see the same
-    # vectors as one draw of all of them.
-    for start in range(0, total, step):
-        xs = draw_vectors(es, min(step, total - start), rng)
-        lhs = family_form_values(es, xs)
-        kf = comparison_form_values(es, xs)
-        # <x, x> per fiber: x^H W x, as inner_product takes it.
-        xx = xs.conj() * (weights * xs)
-        ident = _row_gaps(lhs, closed_form_values(es, xs))[:samples - start]
-        ident_res = max(ident_res, float(ident.max(initial=0.0)))
-        eq_res = max(eq_res, float(
-            _row_gaps(np.abs(fitted) ** 2 * kf, lhs).max()))
-        nom_res = max(nom_res, float(
-            _row_gaps(np.abs(nominal) ** 2 * kf, lhs).max()))
-        scale = np.maximum(1.0, np.abs(lhs).max(axis=1))
-        slack = ab * xx.real - lhs.real
-        bessel_slack = min(bessel_slack,
-                           float((slack.min(axis=1) / scale).min()))
+    hits, cols, _, weights = es._terms
+    ones = np.ones(es.n_max, dtype=np.complex128)
+    fam = _family_values(es, ones)
+    ident_res = _gap(fam, _closed_values(es, ones))
+    kf = np.zeros(es.n_max)
+    kf[cols] = 1.0 / hits
+    eq_res = _gap(np.abs(fitted) ** 2 * kf, fam)
+    nom_res = _gap(np.abs(nominal) ** 2 * kf, fam)
+    # <x, x> at the ones vector is the weight of each fiber.
+    bessel_slack = (float((ab * weights.real - fam.real).min())
+                    / max(1.0, float(np.abs(fam).max())))
 
     alg = es.space.algebra
     fitted_el = AlgebraElement(alg, fitted)

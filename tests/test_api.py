@@ -7,9 +7,11 @@ exact, so a samples or seed keyword is left only where it is listed
 below with its reason.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import cframe
 
@@ -21,10 +23,9 @@ SAMPLING_ALLOWED = {
     "cframe.frames.certify(samples)",
     "cframe.frames.verify_bounds(samples)",
     "cframe.frames.verify_bounds(seed)",
-    # the example still draws the vectors its identity is checked on
-    "cframe.sequence_example.example_certificate(samples)",
-    "cframe.sequence_example.example_certificate(seed)",
 }
+# The only function that draws random numbers: selftest's own cases.
+DRAWS_ALLOWED = {"cli._selftest_cases"}
 
 
 def public_callables():
@@ -66,3 +67,30 @@ def test_public_callables_take_no_sampling_keyword():
     found, checked = keywords_named(SAMPLING_NAMES)
     assert checked > 50
     assert set(found) == SAMPLING_ALLOWED
+
+
+def functions_calling(name):
+    """module.qualname of every function in the cframe sources that
+    calls name, as a bare name or an attribute."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = (func.attr if isinstance(func, ast.Attribute) else
+                          getattr(func, "id", None))
+                if called == name:
+                    found.add(prefix)
+            visit(child, prefix)
+
+    for path in Path(cframe.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_selftest_draws_random_numbers():
+    assert functions_calling("default_rng") == DRAWS_ALLOWED

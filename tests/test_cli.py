@@ -700,8 +700,16 @@ def test_example_report_keeps_every_field(capsys, extra):
     assert res["tight"] is True
     assert res["nominal_matches"] is False
     assert 0.0 <= res["identity_residual"] <= 1e-12
-    if extra == ["--samples", "0"]:
-        assert res["identity_residual"] == 0.0
+
+
+def test_example_result_does_not_depend_on_samples_or_seed(capsys):
+    results = set()
+    for extra in (["--seed", "0"], ["--seed", "5"], ["--samples", "0"],
+                  ["--samples", "7"], ["--samples", "1000"]):
+        code, out = run_json(capsys, ["example"] + extra)
+        assert code == 0
+        results.add(json.dumps(out["result"], sort_keys=True))
+    assert len(results) == 1
 
 
 @pytest.mark.parametrize("alpha, beta", [

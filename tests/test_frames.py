@@ -26,8 +26,8 @@ import cframe.frames
 import cframe.spectral
 from cframe.frames import (_COMMUTE_RTOL, _SKEW_RTOL, CheckReport,
                            _operator_spectrum, _require_algebra)
-from cframe.operators import adjoint_gram_matrix
-from cframe.spectral import (_finite, grouped_pencil_eigvals,
+from cframe.operators import _adjoint_grams
+from cframe.spectral import (_fiber_views, _finite, grouped_pencil_eigvals,
                              hermitian_part, restricted_pencil_min)
 from cframe.transforms import compose_with_q
 from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
@@ -610,7 +610,7 @@ def test_reconstruct_rejects_singular_operator():
 
 def test_reconstruct_unknown_method():
     sys1 = parseval_system()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters, match="unknown method 'cg'"):
         reconstruct(sys1, sys1.space.zero_vector(), method="cg")
 
 
@@ -1254,7 +1254,9 @@ def fiberwise_pencil_eigvals(ps, gs):
 def build_forms_reference(sysm):
     """The per-fiber form loop: the reference for the group stacks."""
     phi_raw, phi, gamma = [], [], []
+    k = sysm.comparison
     with np.errstate(over="ignore", invalid="ignore"):
+        grams = _fiber_views(k.groups, _adjoint_grams(k))
         for j in range(len(sysm.space.dims)):
             raw = (sysm.control_prime.blocks[j].conj().T
                    @ family_gram_matrix(sysm, j) @ sysm.control.blocks[j])
@@ -1262,8 +1264,7 @@ def build_forms_reference(sysm):
             phi_raw.append(_finite(raw, what))
             phi.append(_finite(hermitian_part(raw), what))
             what = f"comparison form Gamma at fiber {j}"
-            gamma.append(_finite(adjoint_gram_matrix(sysm.comparison, j),
-                                 what))
+            gamma.append(_finite(grams[j], what))
     return {"weight": sysm.space.weights, "phi_raw": phi_raw, "phi": phi,
             "gamma": gamma}
 

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from cframe import (ModuleVector, build_example, as_system, certify,
-                    closed_form_element, comparison_form_element,
-                    example_certificate, example_sum_identity,
-                    family_form_element, frame_operator, inner_product)
-from cframe import sequence_example
+                    closed_form_element, example_certificate,
+                    example_sum_identity, family_form_element,
+                    frame_operator, inner_product)
 from cframe.errors import BadParameters
-from cframe.sequence_example import (closed_form_values,
-                                     comparison_form_values, draw_vectors,
-                                     family_form_values)
-from cframe.testing import random_vector
 
 ALPHA = 2.0
 BETA = 3.0
@@ -19,6 +14,14 @@ BETA = 3.0
 def vec(es, coords):
     parts = tuple(np.array([c], dtype=np.complex128) for c in coords)
     return ModuleVector(es.space, parts)
+
+
+def comparison_form(es, x):
+    """The displayed comparison form: |x_n|^2/n at each sampled n."""
+    vals = np.zeros(es.n_max)
+    for n in es.sample_indices:
+        vals[n - 1] = abs(x.parts[n - 1][0]) ** 2 / n
+    return vals
 
 
 def test_smallest_example_hand_values():
@@ -31,9 +34,27 @@ def test_smallest_example_hand_values():
     fam = family_form_element(es, x)
     np.testing.assert_allclose(
         fam.values, [0.0, 0.0, ALPHA * BETA * 25.0 / 9.0], atol=1e-13)
-    cmp_form = comparison_form_element(es, x)
-    np.testing.assert_allclose(cmp_form.values, [0.0, 0.0, 25.0 / 3.0],
-                               atol=1e-13)
+    # the fitted lower scaling squared times the comparison form
+    # |x_3|^2/3 = 25/3 reproduces the family sum
+    fitted = example_certificate(es).fitted_lower.values[2]
+    assert abs(fitted) ** 2 * 25.0 / 3.0 == pytest.approx(fam.values[2].real,
+                                                          rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, beta", [(ALPHA, BETA), (10.0, 10.0)])
+def test_smallest_example_certificate_hand_values(alpha, beta):
+    # fibers 1, 2, 3 have weights 1, 1/2, 1/3 and family coefficients
+    # 0, 0, alpha beta/9; the nominal scaling at k = 1 is alpha beta
+    # against the comparison coefficient 1/3
+    ab = alpha * beta
+    ec = example_certificate(build_example(3, alpha, beta))
+    scale = max(1.0, ab / 9.0)
+    assert ec.bessel_min_slack == pytest.approx((2 * ab / 9) / scale,
+                                                rel=1e-14)
+    assert ec.nominal_residual == pytest.approx((2 * ab / 9) / scale,
+                                                rel=1e-14)
+    assert ec.equality_residual <= 1e-15
+    assert ec.identity_residual <= 1e-15
 
 
 def test_weights_are_reciprocal_index():
@@ -56,7 +77,6 @@ def test_forms_vanish_off_the_sampled_coordinates():
     # supported on coordinates the family never reads
     x = vec(es, [1.0, 2.0, 0.0, 5.0, 0.0, -1.0, 0.0])
     assert np.all(family_form_element(es, x).values == 0)
-    assert np.all(comparison_form_element(es, x).values == 0)
     zero = vec(es, [0.0] * 7)
     assert np.all(family_form_element(es, zero).values == 0)
     assert example_sum_identity(es, zero).residual == 0.0
@@ -106,16 +126,16 @@ def test_fitted_ratio_is_vector_independent():
         coords = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         x = vec(es, coords)
         fam = family_form_element(es, x)
-        cmp_form = comparison_form_element(es, x)
+        cmp_form = comparison_form(es, x)
         for n in es.sample_indices:
-            if np.abs(cmp_form.values[n - 1]) > 1e-12:
-                ratio = fam.values[n - 1] / cmp_form.values[n - 1]
+            if np.abs(cmp_form[n - 1]) > 1e-12:
+                ratio = fam.values[n - 1] / cmp_form[n - 1]
                 assert ratio.real == pytest.approx(ab / n, rel=1e-10)
 
 
 def test_certificate_is_tight_and_nominal_is_not():
     es = build_example(15, ALPHA, BETA)
-    ec = example_certificate(es, samples=200, seed=1)
+    ec = example_certificate(es)
     assert ec.equality_residual <= 1e-12
     assert ec.certificate.tight
     assert not ec.nominal_matches
@@ -125,7 +145,7 @@ def test_certificate_is_tight_and_nominal_is_not():
 
 def test_bessel_slack_and_constant_upper():
     es = build_example(15, ALPHA, BETA)
-    ec = example_certificate(es, samples=200, seed=2)
+    ec = example_certificate(es)
     assert ec.bessel_min_slack >= -1e-12
     ab = ALPHA * BETA
     np.testing.assert_allclose(ec.certificate.upper.values,
@@ -180,96 +200,42 @@ def test_as_system_flags_and_operator_identity():
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
-# -- the array-at-once evaluation --------------------------------------------
+# -- the figures are read off the per-fiber coefficients ---------------------
 
-@pytest.mark.parametrize("n, count", [(3, 1), (9, 5), (101, 40)])
-def test_batched_draw_equals_random_vector_calls(n, count):
-    es = build_example(n, ALPHA, BETA)
-    xs = draw_vectors(es, count, np.random.default_rng(n + count))
-    rng = np.random.default_rng(n + count)
-    assert xs.shape == (count, n)
-    for row in xs:
-        x = random_vector(rng, es.space)
-        assert np.array_equal(row, np.concatenate(x.parts))
-
-
-def test_batched_forms_equal_per_vector_elements():
-    es = build_example(31, ALPHA, BETA)
-    xs = draw_vectors(es, 60, np.random.default_rng(74))
-    batched = (family_form_values(es, xs), comparison_form_values(es, xs),
-               closed_form_values(es, xs))
-    single = (family_form_element, comparison_form_element,
-              closed_form_element)
-    for s, row in enumerate(xs):
-        x = vec(es, row)
-        for vals, element in zip(batched, single):
-            want = element(es, x).values
-            assert np.all(np.abs(vals[s] - want)
-                          <= 1e-15 * np.maximum(1.0, np.abs(want)))
-
-
-@pytest.mark.parametrize("samples", [0, 1, 7, 64])
-def test_certificate_identity_residual_over_its_draws(samples):
-    es = build_example(21, ALPHA, BETA)
-    ec = example_certificate(es, samples=samples, seed=5)
-    rng = np.random.default_rng(5)
-    want = 0.0
-    for _ in range(samples):
-        want = max(want, example_sum_identity(
-            es, random_vector(rng, es.space)).residual)
-    assert ec.identity_residual == pytest.approx(want, abs=1e-15)
-    if samples == 0:
-        assert ec.identity_residual == 0.0
-
-
-def per_vector_certificate_residuals(es, samples, seed):
-    """The certificate's sampled figures, one vector at a time."""
+def figures_at_ones(es):
+    """The certificate's four figures by their per-vector formulas at
+    x = (1, ..., 1), one unit of |x_n|^2 on every fiber."""
+    x = vec(es, np.ones(es.n_max))
     ab = es.alpha * es.beta
     fitted = np.zeros(es.n_max)
     nominal = np.zeros(es.n_max)
     for n in es.sample_indices:
-        fitted[n - 1] = ab / n
-        nominal[n - 1] = ab / ((n - 1) // 2)
-    rng = np.random.default_rng(seed)
-    eq_res = nom_res = 0.0
-    slack = np.inf
-    for _ in range(max(samples, 1)):
-        x = random_vector(rng, es.space)
-        lhs = family_form_element(es, x).values
-        kf = comparison_form_element(es, x).values
-        xx = inner_product(x, x).values
-        scale = max(1.0, float(np.max(np.abs(lhs))))
-        eq_res = max(eq_res, float(np.max(np.abs(fitted * kf - lhs))) / scale)
-        nom_res = max(nom_res,
-                      float(np.max(np.abs(nominal * kf - lhs))) / scale)
-        slack = min(slack, float((ab * xx.real - lhs.real).min()) / scale)
-    return eq_res, nom_res, slack
+        fitted[n - 1] = np.sqrt(ab / n) ** 2
+        nominal[n - 1] = (np.sqrt(ab) / np.sqrt((n - 1) // 2)) ** 2
+    lhs = family_form_element(es, x).values
+    kf = comparison_form(es, x)
+    xx = inner_product(x, x).values
+    scale = max(1.0, float(np.max(np.abs(lhs))))
+    return (example_sum_identity(es, x).residual,
+            float(np.max(np.abs(fitted * kf - lhs))) / scale,
+            float(np.max(np.abs(nominal * kf - lhs))) / scale,
+            float((ab * xx.real - lhs.real).min()) / scale)
 
 
-@pytest.mark.parametrize("n, alpha, beta, samples, seed", [
-    (101, 1.0, 1.0, 200, 0), (101, 2.5, 0.7, 200, 3), (40, 1.0, 1.0, 7, 9),
-    (101, 1.0, 1.0, 0, 0), (202, 1.7, 3.1, 200, 0),
+@pytest.mark.parametrize("n, alpha, beta", [
+    (101, 1.0, 1.0), (101, 2.0, 3.0), (9, 2.0, 3.0), (21, 2.0, 3.0),
+    (3, 0.5, 3.0), (1001, 1.7, 3.1), (101, 2.9, 0.51),
 ])
-def test_certificate_figures_match_per_vector_loop(n, alpha, beta, samples,
-                                                   seed):
-    es = build_example(n, alpha, beta)
-    ec = example_certificate(es, samples=samples, seed=seed)
-    got = (ec.equality_residual, ec.nominal_residual, ec.bessel_min_slack)
-    for g, want in zip(got, per_vector_certificate_residuals(es, samples,
-                                                             seed)):
-        assert abs(g - want) <= 1e-15 * max(1.0, abs(want))
-
-
-@pytest.mark.parametrize("n, samples", [(41, 100), (41, 0), (1001, 300)])
-def test_certificate_chunks_equal_one_draw(monkeypatch, n, samples):
-    es = build_example(n, 1.7, 3.1)
-    whole = example_certificate(es, samples=samples, seed=6)
-    # a few rows per chunk, the last chunk short
-    monkeypatch.setattr(sequence_example, "_CHUNK_ELEMS", 3 * n)
-    chunked = example_certificate(es, samples=samples, seed=6)
-    for field in ("identity_residual", "equality_residual",
-                  "nominal_residual", "bessel_min_slack"):
-        assert getattr(chunked, field) == getattr(whole, field)
+def test_certificate_figures_are_the_formulas_at_the_ones_vector(n, alpha,
+                                                                 beta):
+    ec = example_certificate(build_example(n, alpha, beta))
+    got = (ec.identity_residual, ec.equality_residual, ec.nominal_residual,
+           ec.bessel_min_slack)
+    want = figures_at_ones(build_example(n, alpha, beta))
+    assert got == want
+    assert max(got[:2]) <= 2.3e-16
+    assert 0.22 <= got[2] <= 1.34 and not ec.nominal_matches
+    assert got[3] > 0.005
 
 
 # -- the status is derived from the bound elements ---------------------------
