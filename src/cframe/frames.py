@@ -74,9 +74,9 @@ from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
                         _largest_svs, identity, op_adjoint, op_classify,
                         op_compose, op_sqrt, zero_operator)
 from .spectral import (_adjoint, _fiber_views, _finite_fibers,
-                       _frobenius, _norms, _psd_restricted_mins,
-                       _valid_pencil_eigvals, grouped_pencil_eigvals,
-                       hermitian_part, loewner_margins)
+                       _frobenius, _norms, _restricted_mins,
+                       _valid_pencil_eigvals, hermitian_part,
+                       loewner_margins)
 
 STATUS_FRAME = "frame"
 STATUS_BESSEL = "bessel_only"
@@ -397,10 +397,10 @@ class FiberForms:
     def phi_spectrum(self) -> tuple[np.ndarray, ...]:
         """Eigenvalues of the pencil (phi_j, W_j) per fiber, ascending.
 
-        Solved on first use, one stacked solve per fiber group; both
-        optimal bounds read it.  Phi is Hermitian and the space has
-        checked W definite, so the solve runs none of pencil_eigh's
-        checks again.
+        Solved on first use by spectral._valid_pencil_eigvals, one
+        stacked solve per fiber group; both optimal bounds read it.  Phi
+        is a hermitian_part and the space has checked W definite, so no
+        check of pencil_eigh's runs again.
         """
         return _valid_pencil_eigvals(self.groups,
                                      [s[3] for s in self.stacks],
@@ -546,9 +546,9 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
     A fiber with infimum zero (or an indefinite frame form) admits no
     strictly nonzero bound, which fails the whole lower inequality.
     Each fiber group costs one eigh of its Phi stack and one call of
-    the restricted_pencil_mins solve, which gives restricted_pencil_min's
-    values; the clipped Phi is PSD by construction, so only Gamma is
-    checked.
+    spectral._restricted_mins, which gives restricted_pencil_min's
+    values; the clipped Phi is PSD by construction, and Gamma's PSD
+    check reads the one eigh of Gamma the solve takes.
     """
     d = len(sys.space.dims)
     forms = sys.forms
@@ -564,7 +564,7 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
         # One eigh of the group's Phi stack, then the PSD parts.
         lam, u = np.linalg.eigh(stack[3][rest])
         phi_psd = (u * np.clip(lam, 0.0, None)[:, None, :]) @ _adjoint(u)
-        vals = _psd_restricted_mins(hermitian_part(phi_psd), stack[1][rest])
+        vals = _restricted_mins(hermitian_part(phi_psd), stack[1][rest])
         for i, val in zip(rest, vals):
             infima[idx[i]] = val
     vacuous = [j for j, v in enumerate(infima) if v == np.inf]
@@ -651,8 +651,8 @@ def _certify(sys: ControlledFrameSystem,
         vals[idle] = rest.max() if rest.size else 1.0
         upper = AlgebraElement(upper.algebra, vals)
 
-    margins = loewner_margins(forms.groups, forms.stacks,
-                              np.abs(low.element.values) ** 2,
+    a2 = np.abs(low.element.values) ** 2
+    margins = loewner_margins(forms.groups, forms.stacks, a2,
                               np.abs(upper.values) ** 2)
     skew = float(margins[2].max())
     if skew > _SKEW_RTOL:
@@ -663,12 +663,12 @@ def _certify(sys: ControlledFrameSystem,
 
     tight = False
     if status == STATUS_FRAME:
-        scale = max([1.0] + [float(_norms(phi)) for phi in forms.phi_raw])
-        worst = 0.0
-        for j, (phi, gamma) in enumerate(zip(forms.phi_raw, forms.gamma)):
-            a2 = float(np.abs(low.element.values[j]) ** 2)
-            worst = max(worst, float(_norms(a2 * gamma - phi)))
-        tight = worst <= _TIGHT_RTOL * scale
+        scale = worst = 0.0
+        for idx, (raw, gamma, _, _) in zip(forms.groups, forms.stacks):
+            scale = max(scale, float(_norms(raw).max()))
+            worst = max(worst, float(
+                _norms(a2[list(idx), None, None] * gamma - raw).max()))
+        tight = worst <= _TIGHT_RTOL * max(1.0, scale)
 
     lower_res = upper_res = 0.0
     if residuals:
@@ -796,7 +796,7 @@ class ReconstructionResult:
 
 def _operator_spectrum(sys: ControlledFrameSystem, s: ModuleOperator):
     ws = [w[0] for w in sys.space.stacks]
-    spectra = grouped_pencil_eigvals(
+    spectra = _valid_pencil_eigvals(
         sys.space.groups,
         [hermitian_part(w @ b) for w, b in zip(ws, s.stacks)], ws)
     return (min(float(lam[0]) for lam in spectra),

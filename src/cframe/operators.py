@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector, _groups
 from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
-                       _frobenius, grouped_pencil_eigvals, hermitian_part)
+                       _frobenius, _valid_pencil_eigvals, hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
 
@@ -297,6 +297,6 @@ def adjoint_lower_bound(t: ModuleOperator) -> float:
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("adjoint lower bound needs an endomorphism")
-    spectra = grouped_pencil_eigvals(t.groups, _adjoint_grams(t),
-                                     [w[0] for w in t.domain.stacks])
+    spectra = _valid_pencil_eigvals(t.groups, _adjoint_grams(t),
+                                    [w[0] for w in t.domain.stacks])
     return max(min(float(lam[0]) for lam in spectra), 0.0)

@@ -32,7 +32,7 @@ from .errors import BadParameters
 from .frames import (ControlledFrameSystem, FrameCertificate, _bound_status,
                      frame_system)
 from .module_space import ModuleSpace, ModuleVector, make_space
-from .operators import ModuleOperator, scalar_operator
+from .operators import ModuleOperator, _of_stacks, scalar_operator
 
 _EQ_RTOL = 1e-12
 # Largest truncation length build_example accepts; its arrays grow as n^2.
@@ -87,15 +87,13 @@ def build_example(n_max: int, alpha: float, beta: float) -> ExampleSystem:
         raise BadParameters("control scalars and their product must be finite")
     alg = Algebra(int(n_max))
     space = make_space(alg, [(1, [[1.0 / n]]) for n in range(1, n_max + 1)])
+    # All fibers are 1-dim: one group, one (n, 1, 1) stack per member.
     family = []
     for k in range(1, (n_max - 1) // 2 + 1):
         hit = 2 * k + 1
-        blocks = tuple(
-            np.array([[1.0 / np.sqrt(hit)]] if n == hit else [[0.0]],
-                     dtype=np.complex128)
-            for n in range(1, n_max + 1)
-        )
-        family.append(ModuleOperator(space, space, blocks))
+        stack = np.zeros((n_max, 1, 1), dtype=np.complex128)
+        stack[hit - 1] = 1.0 / np.sqrt(hit)
+        family.append(_of_stacks(space, space, [stack]))
     return ExampleSystem(int(n_max), alpha, beta, space, tuple(family))
 
 

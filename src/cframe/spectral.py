@@ -8,10 +8,13 @@ reduction G = L L^H: the eigenvalues of (P, G) are those of the
 Hermitian L^-1 P L^-H, and an eigenvector y of it maps back to L^-H y
 (Golub and Van Loan, Matrix Computations, section 8.7).  numpy's
 cholesky, solve and eigh broadcast over (m, n, n) stacks, so fibers of
-one dimension share one call.  This module owns the validation, the
-kernel bookkeeping, and the exact semantics of the restricted infimum,
-and the helpers every group stack uses: per-fiber views into the
-stacks, and the check that names the lowest non-finite fiber.
+one dimension share one call.  The public solvers check their
+arguments; internal callers pass stacks valid by construction (a
+hermitian_part, a space's checked W) to one unchecked solver per
+problem, _valid_pencil_eigvals or _restricted_mins.  This module also
+owns the kernel bookkeeping, the exact semantics of the restricted
+infimum, and the helpers every group stack uses: per-fiber views into
+the stacks, and the check that names the lowest non-finite fiber.
 """
 
 from __future__ import annotations
@@ -167,25 +170,11 @@ def _reduced_eigh(p: np.ndarray, g: np.ndarray, vectors: bool = False):
     return lam, np.linalg.solve(_adjoint(chol), y)
 
 
-def grouped_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
-    """pencil_eigh(ps[k], gs[k]) for the (m, n, n) stacks of each group k.
-
-    groups[k] lists the indices of the m pairs of stack k; the result
-    has one read-only row of eigenvalues per index, in index order.
-    """
-    return _read_only_rows(groups, [pencil_eigh(p, g) for p, g in zip(ps, gs)])
-
-
 def _valid_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
-    """grouped_pencil_eigvals for stacks known to pass pencil_eigh's
-    checks, such as a system's Phi and W: no check runs again, and only
-    their Hermitian parts are taken, as the checks return them."""
-    return _read_only_rows(groups, [
-        _reduced_eigh(hermitian_part(p), hermitian_part(g))
-        for p, g in zip(ps, gs)])
-
-
-def _read_only_rows(groups, lams) -> tuple[np.ndarray, ...]:
+    """pencil_eigh(ps[k], gs[k]) for the (m, n, n) stacks of fibers
+    groups[k], unchecked: ps are hermitian_parts, gs a space's checked W.
+    One read-only row of eigenvalues per fiber, in fiber order."""
+    lams = [_reduced_eigh(p, g) for p, g in zip(ps, gs)]
     for lam in lams:
         lam.setflags(write=False)
     return _fiber_views(groups, lams)
@@ -220,10 +209,15 @@ def pencil_extremes(p, g) -> PencilResult:
 def _require_psd(m: np.ndarray, name: str) -> np.ndarray:
     """Hermitian part of m (or of each matrix in a stack), checked PSD."""
     m = _require_hermitian(m, name, _CHECK_RTOL)
-    floor = -_CHECK_RTOL * np.maximum(1.0, _norms(m))
-    if np.any(np.linalg.eigvalsh(m)[..., 0] < floor):
-        raise NotPSD(f"{name} is not positive semidefinite within tolerance")
+    _check_psd(np.linalg.eigvalsh(m), m, name)
     return m
+
+
+def _check_psd(lam: np.ndarray, m: np.ndarray, name: str) -> None:
+    """NotPSD naming m unless the smallest eigenvalues lam[..., 0] of the
+    Hermitian m (or stack) are all >= -_CHECK_RTOL max(1, |m|_F)."""
+    if np.any(lam[..., 0] < -_CHECK_RTOL * np.maximum(1.0, _norms(m))):
+        raise NotPSD(f"{name} is not positive semidefinite within tolerance")
 
 
 def restricted_pencil_min(p, g) -> float:
@@ -250,17 +244,20 @@ def restricted_pencil_mins(p, g) -> list[float]:
     kernel takes the Schur complement one pair at a time, and a G
     without a positive eigenvalue gives +inf.
     """
-    return _psd_restricted_mins(
-        _require_psd(_as_matrix(p, "P", stacked=True), "P"), g)
+    ps = _require_psd(_as_matrix(p, "P", stacked=True), "P")
+    gs = _as_matrix(g, "G", stacked=True)
+    return _restricted_mins(ps, _require_hermitian(gs, "G", _CHECK_RTOL))
 
 
-def _psd_restricted_mins(ps: np.ndarray, g) -> list[float]:
-    """restricted_pencil_mins for a stack ps of Hermitian matrices known
-    to be PSD, taken as they are; g is checked as there."""
-    gs = _require_psd(_as_matrix(g, "G", stacked=True), "G")
+def _restricted_mins(ps: np.ndarray, gs: np.ndarray) -> list[float]:
+    """restricted_pencil_mins for stacks that pass its checks by
+    construction, save G's PSD check: ps Hermitian PSD, gs exactly
+    Hermitian.  The one eigh of gs decides that check, by _check_psd's
+    rule, and the solve."""
+    lam, u = np.linalg.eigh(gs)
+    _check_psd(lam, gs, "G")
     if ps.shape != gs.shape:
         raise ValueError("P and G must have the same shape")
-    lam, u = np.linalg.eigh(gs)
     out = [float("inf")] * len(gs)
     keep = lam > _RANK_RTOL * lam[..., -1:]
     positive = lam[..., -1] > 0.0

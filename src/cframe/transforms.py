@@ -12,7 +12,7 @@ check draws vectors, so no report depends on a sample count or seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .module_space import ModuleSpace, ModuleVector
 from .operators import (ModuleOperator, adjoint_lower_bound, identity,
                         op_adjoint, op_classify, op_compose, op_inverse,
                         op_norm, op_sqrt)
-from .spectral import _finite, _norms, grouped_pencil_eigvals, pinv
+from .spectral import _finite, _norms, _valid_pencil_eigvals, pinv
 
 _IDENT_RTOL = 1e-10
 _SURJ_TOL = 1e-12
@@ -216,7 +216,7 @@ def compose_with_q(sys: ControlledFrameSystem, q: ModuleOperator, *,
     _require_frame(cert, "family composition")
     new_family = tuple(op_compose(t, q) for t in sys.family)
     new_k = op_compose(op_adjoint(q), sys.comparison)
-    new_sys = with_comparison(with_family(sys, new_family), new_k)
+    new_sys = replace(sys, family=new_family, comparison=new_k)
 
     s_old = frame_operator(sys)
     s_new = frame_operator(new_sys)
@@ -258,9 +258,9 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     new_cert = _certify(new_sys)
     # |K_j|^2 is the largest eigenvalue of the pencil (Gamma_j, W_j).
     forms = new_sys.forms
-    k_sq = grouped_pencil_eigvals(forms.groups,
-                                  [s[1] for s in forms.stacks],
-                                  [s[2] for s in forms.stacks])
+    k_sq = _valid_pencil_eigvals(forms.groups,
+                                 [s[1] for s in forms.stacks],
+                                 [s[2] for s in forms.stacks])
     nk = np.sqrt([max(0.0, float(lam[-1])) for lam in k_sq])
 
     nq = op_norm(q)

@@ -94,3 +94,16 @@ def functions_calling(name):
 
 def test_only_selftest_draws_random_numbers():
     assert functions_calling("default_rng") == DRAWS_ALLOWED
+
+
+def test_checks_run_only_at_the_public_solvers():
+    """Callers inside the package pass stacks valid by construction to
+    the unchecked solvers; only the public entry points check."""
+    assert functions_calling("pencil_eigh") == {"spectral.pencil_extremes"}
+    assert functions_calling("_require_psd") == {
+        "spectral.restricted_pencil_mins"}
+
+
+def test_example_members_are_built_from_stacks():
+    assert "sequence_example.build_example" not in functions_calling(
+        "ModuleOperator")

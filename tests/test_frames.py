@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cframe import (Algebra, ModuleOperator, ModuleVector, STATUS_BESSEL,
-                    STATUS_FRAME, STATUS_NOT_FRAME, analysis, certify,
+                    STATUS_FRAME, STATUS_NOT_FRAME, adjoint_lower_bound,
+                    analysis, certify,
                     check_at, commutation_residual, comparison_form_matrix,
                     frame_form_matrix, frame_operator, frame_system,
                     identity, inner_product, make_space,
@@ -27,12 +28,12 @@ import cframe.spectral
 from cframe.frames import (_COMMUTE_RTOL, _SKEW_RTOL, CheckReport,
                            _operator_spectrum, _require_algebra)
 from cframe.operators import _adjoint_grams
-from cframe.spectral import (_fiber_views, _finite, grouped_pencil_eigvals,
-                             hermitian_part, restricted_pencil_min)
-from cframe.transforms import compose_with_q
-from cframe.testing import (diagonal_glplus, random_hpd, random_operator,
-                            random_space, random_system, random_vector,
-                            scalar_glplus, unitary_diag_family)
+from cframe.spectral import (_fiber_views, _finite, hermitian_part,
+                             pencil_eigh, restricted_pencil_min)
+from cframe.transforms import compose_with_q, invertible_q_bounds
+from cframe.testing import (diagonal_glplus, diagonal_operator, random_hpd,
+                            random_operator, random_space, random_system,
+                            random_vector, scalar_glplus, unitary_diag_family)
 
 
 def parseval_system(dims=(2, 3)):
@@ -1136,6 +1137,46 @@ def test_bounds_solve_each_fiber_group_once(monkeypatch):
             lam[0] = 1.0
 
 
+def internal_solver_results(sysm, q, x):
+    """Hex of everything certify, adjoint_lower_bound, invertible_q_bounds
+    and reconstruct return, on a copy of sysm with no cached forms."""
+    sysm = replace(sysm)
+    cert = certify(sysm)
+    inv = invertible_q_bounds(sysm, q, cert=cert)
+    out = [cert.status, cert.tight, cert.vacuous, inv.verified,
+           inv.details["transformed_status"]]
+    values = [cert.lower.values, cert.upper.values, inv.lower.values,
+              inv.upper.values, inv.details["measured_lower"].values,
+              inv.details["measured_upper"].values]
+    floats = [cert.lower_residual, cert.upper_residual, inv.residual,
+              inv.details["bracket_slack"],
+              adjoint_lower_bound(sysm.comparison)]
+    for method in ("direct", "richardson"):
+        rec = reconstruct(sysm, x, method=method)
+        out.append(rec.iterations)
+        values.append(rec.vector.flat)
+        floats += [rec.residual, rec.lambda_min, rec.lambda_max]
+    return out + [v.tobytes().hex() for v in values] + [
+        float(v).hex() for v in floats]
+
+
+def test_internal_callers_run_no_public_check(monkeypatch):
+    rng = np.random.default_rng(64)
+    sysm = random_system(rng, d=5, dims=[2, 1, 3, 1, 2], controls="scalar",
+                         comparison="diagonal")
+    q = diagonal_operator(rng, sysm.space)
+    x = random_vector(rng, sysm.space)
+    want = internal_solver_results(sysm, q, x)
+    assert len(sysm.space.groups) == 3 and want[0] == STATUS_FRAME
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public check ran on internal data")
+
+    monkeypatch.setattr(cframe.spectral, "pencil_eigh", refuse)
+    monkeypatch.setattr(cframe.spectral, "_require_psd", refuse)
+    assert internal_solver_results(sysm, q, x) == want
+
+
 @pytest.mark.parametrize("seed", [28, 29, 30])
 def test_optimal_bounds_match_scipy_pencils(seed):
     rng = np.random.default_rng(seed)
@@ -1240,15 +1281,19 @@ def family_gram_matrix(sys, j):
 def fiberwise_pencil_eigvals(ps, gs):
     """pencil_eigh(ps[j], gs[j]) for every j, as read-only arrays.
 
-    The pairs are stacked by matrix size, so each size costs one call.
+    The pairs are stacked by matrix size, so each size costs one call of
+    the checked public solver, which keeps this reference independent of
+    the unchecked one the code under test calls.
     """
     by_size = {}
     for j, m in enumerate(gs):
         by_size.setdefault(m.shape[-1], []).append(j)
     groups = list(by_size.values())
-    return grouped_pencil_eigvals(
-        groups, [np.stack([ps[j] for j in idx]) for idx in groups],
-        [np.stack([gs[j] for j in idx]) for idx in groups])
+    lams = [pencil_eigh(np.stack([ps[j] for j in idx]),
+                        np.stack([gs[j] for j in idx])) for idx in groups]
+    for lam in lams:
+        lam.setflags(write=False)
+    return _fiber_views(groups, lams)
 
 
 def build_forms_reference(sysm):

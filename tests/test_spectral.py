@@ -8,7 +8,7 @@ import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
-from cframe.spectral import (_norms, grouped_pencil_eigvals, pencil_eigh,
+from cframe.spectral import (_norms, _valid_pencil_eigvals, pencil_eigh,
                              restricted_pencil_mins)
 from cframe.testing import random_hpd
 
@@ -190,9 +190,11 @@ def test_fiberwise_eigvals_group_by_size_bitwise():
     ps = [random_hermitian(rng, n) for n in dims]
     gs = [random_hpd(rng, n) for n in dims]
     groups = [[0, 2, 5], [1, 4], [3]]
-    got = grouped_pencil_eigvals(
+    # The solver takes stacks valid by construction: the G stacks are
+    # Hermitian parts, as a space stores its weights.
+    got = _valid_pencil_eigvals(
         groups, [np.stack([ps[j] for j in idx]) for idx in groups],
-        [np.stack([gs[j] for j in idx]) for idx in groups])
+        [hermitian_part(np.stack([gs[j] for j in idx])) for idx in groups])
     assert len(got) == len(dims)
     for p, g, lam in zip(ps, gs, got):
         assert np.array_equal(lam, pencil_eigh(p, g))
@@ -333,6 +335,20 @@ def test_restricted_mins_stack_equals_single_calls_bitwise():
 def test_restricted_min_rejects_indefinite_g():
     with pytest.raises(NotPSD):
         restricted_pencil_min(np.eye(2), np.diag([1.0, -1.0]))
+
+
+def test_stacked_restricted_mins_reject_one_indefinite_g():
+    with pytest.raises(NotPSD) as single:
+        restricted_pencil_min(np.eye(2), np.diag([1.0, -1.0]))
+    rng = np.random.default_rng(513)
+    ps = [random_psd(rng, 2) for _ in range(5)]
+    gs = [random_psd(rng, 2, rank=r) for r in (2, 1, 2, 2, 0)]
+    gs[2] = np.diag([1.0, -1.0])
+    restricted_pencil_mins(np.stack(ps[:2]), np.stack(gs[:2]))
+    with pytest.raises(NotPSD) as stacked:
+        restricted_pencil_mins(np.stack(ps), np.stack(gs))
+    assert str(stacked.value) == str(single.value) == (
+        "G is not positive semidefinite within tolerance")
 
 
 def test_restricted_min_sampled_quotients_stay_above():
