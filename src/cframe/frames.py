@@ -25,11 +25,9 @@ read-only stack per group, with read-only per-fiber views into it.
 The optimal bounds solve the pencils and the restricted infima once
 per group, check_at evaluates the three forms of a group in one
 stacked product, and the certificate checks read the per-fiber views.
-check_at reads a group's parts from the vector's one buffer
-(ModuleVector.flat) through a gather cached with the forms, a slice
-when the group's fibers are consecutive, and the certificate's squared
-bounds are cached on the certificate, so a call stacks, concatenates
-and squares nothing that does not depend on the vector.
+check_at reads a vector through its space's layout (module_space),
+and the certificate caches its squared bounds, so a call squares
+nothing that does not depend on the vector.
 
 The commutation flags of a system (C with C', C and C' with every
 T_i^* T_i, C and C' with K) are checked when the system is built, on
@@ -69,10 +67,11 @@ import numpy as np
 from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
 from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
                      NotGLPlus, SingularFrameOperator, SpaceMismatch)
-from .module_space import ModuleSpace, ModuleVector, module_norm
+from .module_space import (ModuleSpace, ModuleVector, _form_values,
+                           _of_flat, module_norm)
 from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
-                        _largest_svs, identity, op_adjoint, op_classify,
-                        op_compose, op_sqrt, zero_operator)
+                        _apply, _largest_svs, identity, op_adjoint,
+                        op_classify, op_compose, op_sqrt, zero_operator)
 from .spectral import (_adjoint, _fiber_views, _finite_fibers,
                        _frobenius, _norms, _restricted_mins,
                        _valid_pencil_eigvals, hermitian_part,
@@ -343,7 +342,7 @@ class FiberForms:
     """Form matrices of one system, one read-only stack per fiber group.
 
     groups: the fiber indices of each dimension group, the space's own
-        ModuleSpace.groups.
+        ModuleSpace.groups, whose gathers check_at reads vectors with.
     stacks: per group, one (4, g, n, n) array that holds phi_raw, gamma,
         weight and phi of the group's g fibers, in that order; check_at
         evaluates the first three in one stacked matmul.
@@ -353,13 +352,6 @@ class FiberForms:
     phi_raw: C'^H (sum M^H W M) C, the form of sum_i <T_i C x, T_i C' x>.
     phi: the Hermitian part of phi_raw.
     gamma: the form of <K* x, K* x>.
-
-    How check_at reads a vector's group parts from ModuleVector.flat:
-    gathers: per group, a slice when its fibers are consecutive (their
-        parts are then one run of flat), else a (g, n) index array.
-    order: the permutation that puts values listed group by group back
-        in fiber order, None when the groups already list the fibers in
-        order.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -368,8 +360,6 @@ class FiberForms:
     gamma: tuple[np.ndarray, ...] = field(init=False)
     weight: tuple[np.ndarray, ...] = field(init=False)
     phi: tuple[np.ndarray, ...] = field(init=False)
-    gathers: tuple[slice | np.ndarray, ...] = field(init=False)
-    order: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         for stack in self.stacks:
@@ -377,21 +367,6 @@ class FiberForms:
         for f, name in enumerate(("phi_raw", "gamma", "weight", "phi")):
             object.__setattr__(self, name, _fiber_views(
                 self.groups, [s[f] for s in self.stacks]))
-        d = len(self.weight)
-        starts = np.cumsum([0] + [len(w) for w in self.weight])
-        gathers = []
-        for idx, stack in zip(self.groups, self.stacks):
-            n = stack.shape[-1]
-            first = int(starts[idx[0]])
-            if idx == tuple(range(idx[0], idx[0] + len(idx))):
-                gathers.append(slice(first, first + len(idx) * n))
-            else:
-                gathers.append(starts[list(idx)][:, None] + np.arange(n))
-        listed = np.concatenate(self.groups)
-        order = (None if np.array_equal(listed, np.arange(d))
-                 else np.argsort(listed))
-        object.__setattr__(self, "gathers", tuple(gathers))
-        object.__setattr__(self, "order", order)
 
     @cached_property
     def phi_spectrum(self) -> tuple[np.ndarray, ...]:
@@ -708,24 +683,15 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
     Builds all three algebra values of the inequality at x and tests
     positivity of both slacks under the algebra tolerance, in one test
     of the (2, d) slack array.  Each fiber group costs two stacked
-    matmuls: its (phi_raw, gamma, weight) stack times x's parts, then
-    the parts' adjoints times that.  Raises SpaceMismatch unless x is
+    matmuls, x^H (M x) for M = phi_raw, gamma, weight of every fiber at
+    once (module_space._form_values).  Raises SpaceMismatch unless x is
     in the system space and both bounds are elements of its algebra.
     """
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
     _require_algebra(sys, cert.lower, cert.upper)
-    forms = sys.forms
-    chunks = []
-    for gather, stack in zip(forms.gathers, forms.stacks):
-        p = x.flat[gather].reshape(stack.shape[1:3])
-        # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
-        mp = stack[:3] @ p[..., None]
-        chunks.append((p.conj()[:, None, :] @ mp)[..., 0, 0])
-    vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    if forms.order is not None:
-        vals = vals[:, forms.order]
-    mid, gam, wt = vals
+    mid, gam, wt = _form_values(sys.space, sys.forms.stacks, 3, x.flat,
+                                x.flat)
     low_sq, up_sq = cert.squares
     low = low_sq * gam.real
     up = up_sq * wt.real
@@ -776,10 +742,10 @@ def _verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
     if residual <= _VERIFY_TOL:
         return VerifyResult(verified=True, residual=residual, witness=None)
     _, (j, x) = loewner_margins(*args, witness=True)
-    parts = [np.zeros(n, dtype=np.complex128) for n in sys.space.dims]
-    parts[j] = x
+    flat = np.zeros(sum(sys.space.dims), dtype=np.complex128)
+    flat[sys.space.spans[j]] = x
     return VerifyResult(verified=False, residual=residual,
-                        witness=ModuleVector(sys.space, tuple(parts)))
+                        witness=_of_flat(sys.space, flat))
 
 
 # -- reconstruction ------------------------------------------------------
@@ -807,7 +773,7 @@ def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
                 method: str = "direct") -> ReconstructionResult:
     """Round-trip x through the frame operator and solve back.
 
-    direct: per-fiber linear solve of S z = S x.
+    direct: linear solve of S z = S x, one stacked solve per group.
     richardson: z <- z + omega (y - S z) with omega = 2/(l_min + l_max),
     stopped when the relative residual drops below _RECONSTRUCT_RTOL.
     The iteration count realizes the classical (kappa-1)/(kappa+1)
@@ -827,23 +793,19 @@ def reconstruct(sys: ControlledFrameSystem, x: ModuleVector, *,
         raise SingularFrameOperator("frame operator is not positive definite")
     ynorm = max(module_norm(y), 1e-300)
     if method == "direct":
-        z = ModuleVector(
-            sys.space,
-            tuple(np.linalg.solve(b, p) for b, p in zip(s.blocks, y.parts)),
-        )
+        z = _apply(s, y, np.linalg.solve)
         res = module_norm(y - s(z)) / ynorm
         return ReconstructionResult(z, "direct", None, res, lo, hi)
     omega = 2.0 / (lo + hi)
     rho = (hi - lo) / (hi + lo)
     max_iter = (8 if rho <= 0 else
                 int(np.ceil(3 * np.log(_RECONSTRUCT_RTOL) / np.log(rho))) + 50)
-    z = sys.space.zero_vector()
-    steps = 0
-    res = module_norm(y - s(z)) / ynorm
-    while res > _RECONSTRUCT_RTOL and steps < max_iter:
-        z = z + omega * (y - s(z))
-        steps += 1
-        res = module_norm(y - s(z)) / ynorm
+    z, steps = sys.space.zero_vector(), 0
+    r = y - s(z)
+    while ((res := module_norm(r) / ynorm) > _RECONSTRUCT_RTOL
+           and steps < max_iter):
+        z, steps = z + omega * r, steps + 1
+        r = y - s(z)
     return ReconstructionResult(z, "richardson", steps, res, lo, hi)
 
 

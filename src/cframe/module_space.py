@@ -15,9 +15,10 @@ it.  Operators hold their blocks the same way, and every stacked
 computation downstream reads these stacks.
 
 A vector keeps its parts end to end in one read-only buffer (`flat`),
-made by the one copy its constructor takes of the input, with the parts
-as read-only views into it; check_at reads a group's parts from that
-buffer without stacking them.
+the parts being views into it, in a layout the space owns (`spans`,
+`gathers`, `order`).  Arithmetic acts on `flat`; operators, inner
+products and norms run once per group.  Only the public constructor
+checks; vectors computed here are built by _of_flat.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement
 from .errors import NotDefinite, NotHermitian, SpaceMismatch
-from .spectral import (_adjoint, _as_matrix, _fiber_views, _require_definite,
-                       _require_hermitian)
+from .spectral import (_adjoint, _as_matrix, _fiber_views, _finite_fibers,
+                       _require_definite, _require_hermitian)
 
 _HERM_RTOL = 1e-12
 
@@ -41,6 +42,18 @@ def _groups(keys) -> tuple[tuple[int, ...], ...]:
     for j, key in enumerate(keys):
         out.setdefault(key, []).append(j)
     return tuple(tuple(idx) for idx in out.values())
+
+
+def _gathers(dims, groups) -> tuple[slice | np.ndarray, ...]:
+    """Per group, where its fibers' parts lie in a vector's flat, one
+    member after the other: a slice when the fibers are consecutive,
+    else an index array."""
+    starts = np.cumsum((0,) + tuple(dims))
+    return tuple(
+        slice(int(starts[idx[0]]), int(starts[idx[-1] + 1]))
+        if idx[-1] - idx[0] == len(idx) - 1
+        else np.add.outer(starts[list(idx)], np.arange(dims[idx[0]])).ravel()
+        for idx in groups)
 
 
 def _weight_stacks(dims, weights, groups) -> tuple[np.ndarray, ...]:
@@ -86,6 +99,10 @@ class ModuleSpace:
     stacks: per group, one read-only (4, g, n, n) array that holds W,
         W^(-1), W^(1/2) and W^(-1/2) of its g fibers, in that order.
     weights: per fiber, W_j as a read-only view into its group's stack.
+    spans: per fiber, the slice of ModuleVector.flat that holds its part.
+    gathers: per group, where its parts lie in ModuleVector.flat.
+    order: the permutation that puts values listed group by group back
+        in fiber order, None when the groups list the fibers in order.
     """
 
     algebra: Algebra
@@ -93,6 +110,9 @@ class ModuleSpace:
     weights: tuple[np.ndarray, ...]
     groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    spans: tuple[slice, ...] = field(init=False, repr=False)
+    gathers: tuple[slice | np.ndarray, ...] = field(init=False, repr=False)
+    order: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != self.algebra.d:
@@ -104,11 +124,15 @@ class ModuleSpace:
             raise ValueError("fiber dimensions must be positive")
         groups = _groups(dims)
         stacks = _weight_stacks(dims, self.weights, groups)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "weights",
-                           _fiber_views(groups, [s[0] for s in stacks]))
+        listed, ends = np.concatenate(groups), np.cumsum(dims).tolist()
+        for name, value in (
+                ("dims", dims), ("groups", groups), ("stacks", stacks),
+                ("weights", _fiber_views(groups, [s[0] for s in stacks])),
+                ("spans", tuple(slice(e - n, e) for n, e in zip(dims, ends))),
+                ("gathers", _gathers(dims, groups)),
+                ("order", None if np.array_equal(listed, np.arange(len(dims)))
+                 else np.argsort(listed))):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if self is other:
@@ -136,13 +160,13 @@ class ModuleSpace:
         return tuple(np.stack([fibers[j] for j in idx], axis=1)
                      for idx in groups)
 
-    def vector(self, parts) -> ModuleVector:
-        return ModuleVector(self, tuple(parts))
+    def group_gathers(self, groups) -> tuple[slice | np.ndarray, ...]:
+        """The gathers of other groups, such as an operator's."""
+        return (self.gathers if groups == self.groups
+                else _gathers(self.dims, groups))
 
     def zero_vector(self) -> ModuleVector:
-        return ModuleVector(
-            self, tuple(np.zeros(n, dtype=np.complex128) for n in self.dims)
-        )
+        return _of_flat(self, np.zeros(sum(self.dims), dtype=np.complex128))
 
 
 def make_space(algebra: Algebra, fibers) -> ModuleSpace:
@@ -153,14 +177,9 @@ def make_space(algebra: Algebra, fibers) -> ModuleSpace:
     """
     dims, weights = [], []
     for spec in fibers:
-        if isinstance(spec, tuple):
-            n, w = spec
-            dims.append(int(n))
-            weights.append(np.array(w, dtype=np.complex128))
-        else:
-            n = int(spec)
-            dims.append(n)
-            weights.append(np.eye(n, dtype=np.complex128))
+        n, w = spec if isinstance(spec, tuple) else (spec, np.eye(int(spec)))
+        dims.append(int(n))
+        weights.append(np.array(w, dtype=np.complex128))
     return ModuleSpace(algebra, tuple(dims), tuple(weights))
 
 
@@ -168,8 +187,8 @@ def make_space(algebra: Algebra, fibers) -> ModuleSpace:
 class ModuleVector:
     """One complex column per fiber, held in one buffer.
 
-    flat: the parts end to end in fiber order, a read-only copy of the
-        input made once, by the constructor.
+    flat: the parts end to end in fiber order, read-only; the public
+        constructor makes it as one checked copy of the input.
     parts: read-only views into flat, part j of length dims[j].
     """
 
@@ -186,16 +205,17 @@ class ModuleVector:
         for j, (n, arr) in enumerate(zip(dims, arrs)):
             if arr.shape != (n,):
                 raise ValueError(f"fiber {j}: part has wrong length")
-        flat = np.concatenate(arrs)
+        self._hold(self.space, np.concatenate(arrs))
+
+    def _hold(self, space, flat) -> ModuleVector:
+        """Take `flat`, which nothing else holds, as the read-only buffer."""
         flat.setflags(write=False)
-        # Slices of a read-only array are read-only views.
-        parts = []
-        end = 0
-        for n in dims:
-            parts.append(flat[end:end + n])
-            end += n
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "parts", tuple(parts))
+        # Slices of a read-only array are read-only views.
+        object.__setattr__(self, "parts",
+                           tuple([flat[s] for s in space.spans]))
+        return self
 
     def _check(self, other: ModuleVector):
         if not isinstance(other, ModuleVector):
@@ -205,25 +225,41 @@ class ModuleVector:
 
     def __add__(self, other):
         self._check(other)
-        return ModuleVector(
-            self.space, tuple(a + b for a, b in zip(self.parts, other.parts))
-        )
+        return _of_flat(self.space, self.flat + other.flat)
 
     def __sub__(self, other):
         self._check(other)
-        return ModuleVector(
-            self.space, tuple(a - b for a, b in zip(self.parts, other.parts))
-        )
+        return _of_flat(self.space, self.flat - other.flat)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return ModuleVector(self.space, tuple(scalar * p for p in self.parts))
+        return _of_flat(self.space, scalar * self.flat)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ModuleVector(self.space, tuple(-p for p in self.parts))
+        return _of_flat(self.space, -self.flat)
+
+
+def _of_flat(space: ModuleSpace, flat: np.ndarray) -> ModuleVector:
+    """The vector with buffer `flat`, built without a copy or a check."""
+    return object.__new__(ModuleVector)._hold(space, flat)
+
+
+def _form_values(space: ModuleSpace, stacks, k: int, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """The (k, d) values y_j^H M x_j, in fiber order, of the first k
+    forms M of each group's (4, g, n, n) stack, x and y the buffers of
+    two vectors of space: two stacked matmuls per group."""
+    chunks = []
+    for gather, stack in zip(space.gathers, stacks):
+        p = x[gather].reshape(stack.shape[1:3])
+        q = p if y is x else y[gather].reshape(p.shape)
+        chunks.append((q.conj()[:, None, :] @ (stack[:k] @ p[..., None]))
+                      [..., 0, 0])
+    vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    return vals if space.order is None else vals[:, space.order]
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
@@ -233,29 +269,24 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """
     if x.space != y.space:
         raise SpaceMismatch("inner product needs vectors from one space")
-    vals = np.array(
-        [
-            y.parts[j].conj() @ (x.space.weights[j] @ x.parts[j])
-            for j in range(len(x.space.dims))
-        ],
-        dtype=np.complex128,
-    )
-    return AlgebraElement(x.space.algebra, vals)
+    return AlgebraElement(x.space.algebra, _form_values(
+        x.space, x.space.stacks, 1, x.flat, y.flat)[0])
 
 
 def module_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
     """Scale fiber j of x by coordinate j of a."""
     if a.algebra != x.space.algebra:
         raise SpaceMismatch("element and vector belong to different algebras")
-    return ModuleVector(
-        x.space, tuple(a.values[j] * x.parts[j] for j in range(a.algebra.d))
-    )
+    return _of_flat(x.space, np.repeat(a.values, x.space.dims) * x.flat)
 
 
 def module_norm(x: ModuleVector) -> float:
-    """Norm induced by the inner product: sqrt of the largest fiber energy."""
-    worst = 0.0
-    for j in range(len(x.space.dims)):
-        e = float((x.parts[j].conj() @ (x.space.weights[j] @ x.parts[j])).real)
-        worst = max(worst, e)
-    return float(np.sqrt(max(worst, 0.0)))
+    """Norm induced by the inner product: sqrt of the largest fiber
+    energy.  NotFinite names the lowest fiber whose energy is not
+    finite, or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _form_values(x.space, x.space.stacks, 1, x.flat,
+                              x.flat)[0].real
+    _finite_fibers((range(len(energy)),), [energy],
+                   lambda j: f"fiber {j}: the energy of a vector")
+    return float(np.sqrt(max(0.0, float(energy.max()))))

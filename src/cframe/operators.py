@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
-from .module_space import ModuleSpace, ModuleVector, _groups
+from .module_space import ModuleSpace, ModuleVector, _groups, _of_flat
 from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
                        _frobenius, _valid_pencil_eigvals, hermitian_part)
 
@@ -84,10 +84,7 @@ class ModuleOperator:
     def __call__(self, x: ModuleVector) -> ModuleVector:
         if x.space != self.domain:
             raise SpaceMismatch("vector is not in the operator domain")
-        return ModuleVector(
-            self.codomain,
-            tuple(self.blocks[j] @ x.parts[j] for j in range(len(self.blocks))),
-        )
+        return _apply(self, x, np.matmul)
 
     def __matmul__(self, other: ModuleOperator) -> ModuleOperator:
         return op_compose(self, other)
@@ -123,6 +120,16 @@ def _of_stacks(domain: ModuleSpace, codomain: ModuleSpace,
                stacks) -> ModuleOperator:
     """The operator with group stacks `stacks`, built without a copy."""
     return object.__new__(ModuleOperator)._hold(domain, codomain, stacks)
+
+
+def _apply(t: ModuleOperator, x: ModuleVector, fn) -> ModuleVector:
+    """fn(stack, parts) per group of t, the parts of x as a (g, n, 1)
+    stack: t(x) with np.matmul, z with t(z) = x with np.linalg.solve."""
+    flat = np.empty(sum(t.codomain.dims), dtype=np.complex128)
+    for into, fro, m in zip(t.codomain.group_gathers(t.groups),
+                            t.domain.group_gathers(t.groups), t.stacks):
+        flat[into] = fn(m, x.flat[fro].reshape(len(m), -1, 1)).reshape(-1)
+    return _of_flat(t.codomain, flat)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ SAMPLING_ALLOWED = {
 }
 # The only function that draws random numbers: selftest's own cases.
 DRAWS_ALLOWED = {"cli._selftest_cases"}
+# The only caller of the checked vector constructor in the package: the
+# random vectors of the tests and of selftest.  Vectors computed from
+# vectors are built by module_space._of_flat.
+VECTOR_BUILDERS = {"testing.random_vector"}
 
 
 def public_callables():
@@ -107,3 +111,7 @@ def test_checks_run_only_at_the_public_solvers():
 def test_example_members_are_built_from_stacks():
     assert "sequence_example.build_example" not in functions_calling(
         "ModuleOperator")
+
+
+def test_only_the_public_boundary_builds_checked_vectors():
+    assert functions_calling("ModuleVector") == VECTOR_BUILDERS
