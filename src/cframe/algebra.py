@@ -10,6 +10,7 @@ off coordinate j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,12 @@ class Algebra:
     eps_nz: float = DEFAULT_EPS_NZ
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        if (not isinstance(self.d, int) or isinstance(self.d, bool)
+                or self.d < 1):
             raise ValueError("character count d must be a positive integer")
-        if self.eps_pos <= 0 or self.eps_nz <= 0:
-            raise ValueError("tolerances must be positive")
+        # Written so that NaN fails too.
+        if not (0 < self.eps_pos < math.inf and 0 < self.eps_nz < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def element(self, values) -> AlgebraElement:
         return AlgebraElement(self, values)
@@ -114,6 +117,15 @@ class AlgebraElement:
                     <= _ALLCLOSE_RTOL * scale)
 
 
+def _of_values(alg: Algebra, values: np.ndarray) -> AlgebraElement:
+    """The element with `values`, a read-only (d,) complex array, built
+    without a copy or a check."""
+    el = object.__new__(AlgebraElement)
+    object.__setattr__(el, "algebra", alg)
+    object.__setattr__(el, "values", values)
+    return el
+
+
 def alg_abs(a: AlgebraElement) -> AlgebraElement:
     """Modulus |a| = (a* a)^(1/2), entrywise the complex modulus."""
     return AlgebraElement(a.algebra, np.abs(a.values).astype(np.complex128))
@@ -129,11 +141,10 @@ def alg_is_positive(a: AlgebraElement) -> bool:
 
 
 def positive_rows(values: np.ndarray, eps_pos: float) -> np.ndarray:
-    """alg_is_positive for each row of a (..., d) array of element values."""
-    slack = eps_pos * (1.0 + np.abs(values))
-    imag_ok = np.abs(values.imag) <= slack
-    real_ok = values.real >= -slack
-    return np.all(imag_ok & real_ok, axis=-1)
+    """alg_is_positive for each row of a (..., d) array of element values,
+    its two tests in one: negation and maximum are exact and keep NaN."""
+    worst = np.maximum(np.abs(values.imag), -values.real)
+    return (worst <= eps_pos * (1.0 + np.abs(values))).all(axis=-1)
 
 
 def alg_is_strictly_nonzero(a: AlgebraElement) -> bool:

@@ -21,13 +21,16 @@ stacks: a stacked matmul, eigh or SVD treats each fiber as the call on
 its matrix alone would.  The fiber forms (the weight W_j, the frame
 form Phi_j raw and Hermitian, the comparison form Gamma_j) are built
 once per system, on first use, in `ControlledFrameSystem.forms`: one
-read-only stack per group, with read-only per-fiber views into it.
-The optimal bounds solve the pencils and the restricted infima once
-per group, check_at evaluates the three forms of a group in one
-stacked product, and the certificate checks read the per-fiber views.
-check_at reads a vector through its space's layout (module_space),
-and the certificate caches its squared bounds, so a call squares
-nothing that does not depend on the vector.
+read-only fiber-major stack per group, with read-only per-fiber views
+into it; a real family member costs two real products, not a complex
+one.  The optimal bounds solve the pencils and the restricted infima
+once per group, and the certificate checks read the per-fiber views.
+check_at takes each fiber's Phi_raw, Gamma and W as one (3n, n) block,
+one matmul and one vecdot per group, reads the vector through its
+space's layout (module_space) and the bounds' squares off the
+certificate's cache, and returns its slacks as the rows of one
+read-only array, unchecked elements (algebra._of_values): a call does
+only the arithmetic that depends on the vector.
 
 The commutation flags of a system (C with C', C and C' with every
 T_i^* T_i, C and C' with K) are checked when the system is built, on
@@ -64,7 +67,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_is_strictly_nonzero, positive_rows
+from .algebra import (AlgebraElement, _of_values, alg_is_strictly_nonzero,
+                      positive_rows)
 from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
                      NotGLPlus, SingularFrameOperator, SpaceMismatch)
 from .module_space import (ModuleSpace, ModuleVector, _form_values,
@@ -321,6 +325,15 @@ class ControlledFrameSystem:
         """The per-fiber forms, built on first use; see FiberForms."""
         return _build_forms(self)
 
+    @cached_property
+    def mixing_root(self) -> ModuleOperator:
+        """(C C')^(1/2), built on first use; analysis and synthesis read
+        it.  NotCommuting unless the controls commute."""
+        if not self.flags.controls_commute:
+            raise NotCommuting("analysis needs commuting controls",
+                               residual=self.flags.worst_residual)
+        return op_sqrt(op_compose(self.control, self.control_prime))
+
 
 def frame_system(space: ModuleSpace, family, control=None, control_prime=None,
                  comparison=None) -> ControlledFrameSystem:
@@ -343,9 +356,11 @@ class FiberForms:
 
     groups: the fiber indices of each dimension group, the space's own
         ModuleSpace.groups, whose gathers check_at reads vectors with.
-    stacks: per group, one (4, g, n, n) array that holds phi_raw, gamma,
-        weight and phi of the group's g fibers, in that order; check_at
-        evaluates the first three in one stacked matmul.
+    stacks: per group, one (g, 4, n, n) array that holds, per fiber,
+        phi_raw, gamma, weight and phi, in that order.
+    triples: per group, the (g, 3n, n) view of its stack whose block i
+        is fiber i's phi_raw, gamma and weight one above the other;
+        check_at evaluates them in one stacked product per group.
 
     The per-fiber forms are read-only (n, n) views into the stacks:
     weight: W_j, the form of <x, x>.
@@ -360,13 +375,16 @@ class FiberForms:
     gamma: tuple[np.ndarray, ...] = field(init=False)
     weight: tuple[np.ndarray, ...] = field(init=False)
     phi: tuple[np.ndarray, ...] = field(init=False)
+    triples: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for stack in self.stacks:
             stack.setflags(write=False)
+        object.__setattr__(self, "triples", tuple(
+            s[:, :3].reshape(len(s), -1, s.shape[-1]) for s in self.stacks))
         for f, name in enumerate(("phi_raw", "gamma", "weight", "phi")):
             object.__setattr__(self, name, _fiber_views(
-                self.groups, [s[f] for s in self.stacks]))
+                self.groups, [s[:, f] for s in self.stacks]))
 
     @cached_property
     def phi_spectrum(self) -> tuple[np.ndarray, ...]:
@@ -378,27 +396,43 @@ class FiberForms:
         check of pencil_eigh's runs again.
         """
         return _valid_pencil_eigvals(self.groups,
-                                     [s[3] for s in self.stacks],
-                                     [s[2] for s in self.stacks])
+                                     [s[:, 3] for s in self.stacks],
+                                     [s[:, 2] for s in self.stacks])
 
 
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
     """The forms of every group from the operators' stacks, fiber by
     fiber the products acc += M^H W M, then C'^H acc C; Gamma is K's
-    adjoint Gram form, the Hermitian part of V M W^-1 M^H V."""
+    adjoint Gram form, the Hermitian part of V M W^-1 M^H V.
+
+    A member stack with no imaginary part adds M^T W_r M to acc's real
+    part and M^T W_i M to its imaginary part, W = W_r + i W_i: two real
+    products instead of one complex one.  The terms this drops have a
+    zero factor and add only a zero, so the sums are the complex ones.
+    """
     space = sys.space
     accs = [np.zeros_like(w[0]) for w in space.stacks]
+    parts = [(np.ascontiguousarray(w[0].real), np.ascontiguousarray(w[0].imag))
+             for w in space.stacks]
     stacks = []
     # Overflow is caught by the finite checks, which raise NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in sys.family:
-            for acc, m, w in zip(accs, t.stacks, space.stacks):
-                acc += _adjoint(m) @ w[0] @ m
+            for acc, m, w, (wr, wi) in zip(accs, t.stacks, space.stacks,
+                                           parts):
+                if m.imag.any():
+                    acc += _adjoint(m) @ w[0] @ m
+                    continue
+                m = np.ascontiguousarray(m.real)
+                mt = m.swapaxes(-1, -2)
+                acc.real += mt @ wr @ m
+                acc.imag += mt @ wi @ m
         for acc, w, c, cp, gamma in zip(
                 accs, space.stacks, sys.control.stacks,
                 sys.control_prime.stacks, _adjoint_grams(sys.comparison)):
             raw = _adjoint(cp) @ acc @ c
-            stacks.append(np.stack([raw, gamma, w[0], hermitian_part(raw)]))
+            stacks.append(np.stack([raw, gamma, w[0], hermitian_part(raw)],
+                                   axis=1))
     _require_finite_forms(space.groups, stacks)
     return FiberForms(groups=space.groups, stacks=tuple(stacks))
 
@@ -406,9 +440,8 @@ def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
 def _require_finite_forms(groups, stacks) -> None:
     """NotFinite naming the lowest fiber whose Phi (raw or Hermitian) or
     Gamma is not finite, Phi before Gamma."""
-    forms = [s.swapaxes(0, 1) for s in stacks]
-    views = _fiber_views(groups, forms)
-    _finite_fibers(groups, forms, lambda j: (
+    views = _fiber_views(groups, stacks)
+    _finite_fibers(groups, stacks, lambda j: (
         "frame form Phi" if not np.isfinite(views[j][[0, 3]]).all()
         else "comparison form Gamma") + f" at fiber {j}")
 
@@ -451,21 +484,11 @@ def frame_operator(sys: ControlledFrameSystem) -> ModuleOperator:
     return s
 
 
-def _mixing_root(sys: ControlledFrameSystem) -> ModuleOperator:
-    if not sys.flags.controls_commute:
-        raise NotCommuting(
-            "analysis needs commuting controls",
-            residual=sys.flags.worst_residual,
-        )
-    return op_sqrt(op_compose(sys.control, sys.control_prime))
-
-
 def analysis(sys: ControlledFrameSystem, x: ModuleVector) -> list[ModuleVector]:
     """Coefficients T_i (C C')^(1/2) x of the analysis map."""
     if x.space != sys.space:
         raise SpaceMismatch("vector is not in the system space")
-    r = _mixing_root(sys)
-    rx = r(x)
+    rx = sys.mixing_root(x)
     return [t(rx) for t in sys.family]
 
 
@@ -476,7 +499,7 @@ def synthesis(sys: ControlledFrameSystem, seq) -> ModuleVector:
         raise LengthMismatch(
             f"expected {len(sys.family)} coefficients, got {len(seq)}"
         )
-    r = _mixing_root(sys)
+    r = sys.mixing_root
     out = sys.space.zero_vector()
     for t, a in zip(sys.family, seq):
         if a.space != sys.space:
@@ -537,9 +560,9 @@ def optimal_lower_bound(sys: ControlledFrameSystem) -> LowerBoundResult:
         if not rest:
             continue
         # One eigh of the group's Phi stack, then the PSD parts.
-        lam, u = np.linalg.eigh(stack[3][rest])
+        lam, u = np.linalg.eigh(stack[rest, 3])
         phi_psd = (u * np.clip(lam, 0.0, None)[:, None, :]) @ _adjoint(u)
-        vals = _restricted_mins(hermitian_part(phi_psd), stack[1][rest])
+        vals = _restricted_mins(hermitian_part(phi_psd), stack[rest, 1])
         for i, val in zip(rest, vals):
             infima[idx[i]] = val
     vacuous = [j for j, v in enumerate(infima) if v == np.inf]
@@ -639,7 +662,8 @@ def _certify(sys: ControlledFrameSystem,
     tight = False
     if status == STATUS_FRAME:
         scale = worst = 0.0
-        for idx, (raw, gamma, _, _) in zip(forms.groups, forms.stacks):
+        for idx, stack in zip(forms.groups, forms.stacks):
+            raw, gamma = stack[:, 0], stack[:, 1]
             scale = max(scale, float(_norms(raw).max()))
             worst = max(worst, float(
                 _norms(a2[list(idx), None, None] * gamma - raw).max()))
@@ -663,9 +687,11 @@ def _certify(sys: ControlledFrameSystem,
 
 
 def _require_algebra(sys: ControlledFrameSystem, *elements) -> None:
-    if any(a.algebra != sys.space.algebra for a in elements):
-        raise SpaceMismatch(
-            "bound elements belong to a different algebra than the system")
+    alg = sys.space.algebra
+    for a in elements:
+        if a.algebra is not alg and a.algebra != alg:
+            raise SpaceMismatch("bound elements belong to a different "
+                                "algebra than the system")
 
 
 @dataclass(frozen=True, eq=False)
@@ -682,27 +708,28 @@ def check_at(sys: ControlledFrameSystem, cert: FrameCertificate,
 
     Builds all three algebra values of the inequality at x and tests
     positivity of both slacks under the algebra tolerance, in one test
-    of the (2, d) slack array.  Each fiber group costs two stacked
-    matmuls, x^H (M x) for M = phi_raw, gamma, weight of every fiber at
-    once (module_space._form_values).  Raises SpaceMismatch unless x is
-    in the system space and both bounds are elements of its algebra.
+    of the (2, d) slack array.  Each fiber group costs one stacked
+    product of its (3n, n) blocks phi_raw, gamma, weight with x and one
+    vecdot (module_space._form_values).  The slacks are the two rows of
+    one read-only array, elements built unchecked.  Raises SpaceMismatch
+    unless x is in the system space and both bounds are elements of its
+    algebra.
     """
-    if x.space != sys.space:
+    space = sys.space
+    if x.space is not space and x.space != space:
         raise SpaceMismatch("vector is not in the system space")
     _require_algebra(sys, cert.lower, cert.upper)
-    mid, gam, wt = _form_values(sys.space, sys.forms.stacks, 3, x.flat,
-                                x.flat)
+    mid, gam, wt = _form_values(space, sys.forms.triples, x.flat, x.flat)
     low_sq, up_sq = cert.squares
-    low = low_sq * gam.real
-    up = up_sq * wt.real
-    alg = sys.space.algebra
-    slacks = np.array([mid - low, up - mid])
+    slacks = np.array([mid - low_sq * gam.real, up_sq * wt.real - mid])
+    slacks.setflags(write=False)
+    alg = space.algebra
     lower_ok, upper_ok = positive_rows(slacks, alg.eps_pos)
     return CheckReport(
         lower_ok=bool(lower_ok),
         upper_ok=bool(upper_ok),
-        slack_lower=AlgebraElement(alg, slacks[0]),
-        slack_upper=AlgebraElement(alg, slacks[1]),
+        slack_lower=_of_values(alg, slacks[0]),
+        slack_upper=_of_values(alg, slacks[1]),
     )
 
 

@@ -247,19 +247,21 @@ def _of_flat(space: ModuleSpace, flat: np.ndarray) -> ModuleVector:
     return object.__new__(ModuleVector)._hold(space, flat)
 
 
-def _form_values(space: ModuleSpace, stacks, k: int, x: np.ndarray,
+def _form_values(space: ModuleSpace, mats, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
-    """The (k, d) values y_j^H M x_j, in fiber order, of the first k
-    forms M of each group's (4, g, n, n) stack, x and y the buffers of
-    two vectors of space: two stacked matmuls per group."""
+    """The (k, d) values y_j^H M x_j, in fiber order, of k forms M per
+    fiber, x and y the buffers of two vectors of space and mats per
+    group a (g, k n, n) stack, fiber i's k forms one above the other in
+    its block i: one matmul and one vecdot per group."""
     chunks = []
-    for gather, stack in zip(space.gathers, stacks):
-        p = x[gather].reshape(stack.shape[1:3])
-        q = p if y is x else y[gather].reshape(p.shape)
-        chunks.append((q.conj()[:, None, :] @ (stack[:k] @ p[..., None]))
-                      [..., 0, 0])
-    vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    return vals if space.order is None else vals[:, space.order]
+    for gather, m in zip(space.gathers, mats):
+        g, n = len(m), m.shape[-1]
+        p = x[gather].reshape(g, n)
+        q = p if y is x else y[gather].reshape(g, n)
+        chunks.append(np.vecdot(q[:, None, :],
+                                (m @ p[..., None]).reshape(g, -1, n)))
+    vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return (vals if space.order is None else vals[space.order]).T
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
@@ -270,7 +272,7 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     if x.space != y.space:
         raise SpaceMismatch("inner product needs vectors from one space")
     return AlgebraElement(x.space.algebra, _form_values(
-        x.space, x.space.stacks, 1, x.flat, y.flat)[0])
+        x.space, [w[0] for w in x.space.stacks], x.flat, y.flat)[0])
 
 
 def module_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
@@ -285,8 +287,8 @@ def module_norm(x: ModuleVector) -> float:
     energy.  NotFinite names the lowest fiber whose energy is not
     finite, or overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = _form_values(x.space, x.space.stacks, 1, x.flat,
-                              x.flat)[0].real
+        energy = _form_values(x.space, [w[0] for w in x.space.stacks],
+                              x.flat, x.flat)[0].real
     _finite_fibers((range(len(energy)),), [energy],
                    lambda j: f"fiber {j}: the energy of a vector")
     return float(np.sqrt(max(0.0, float(energy.max()))))

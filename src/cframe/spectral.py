@@ -291,7 +291,7 @@ def _range_mins(s: np.ndarray, lam: np.ndarray) -> list[float]:
 def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
     """Relative margins of a_j^2 Gamma_j <= Phi_raw,j <= b_j^2 W_j.
 
-    stacks holds per fiber group the (4, g, n, n) forms phi_raw, gamma,
+    stacks holds per fiber group the (g, 4, n, n) forms phi_raw, gamma,
     W, phi (FiberForms.stacks), low_sq and up_sq a_j^2, b_j^2 by fiber.
     Column j of the (3, d) result: lambda_min(phi_j - a_j^2 gamma_j) and
     lambda_min(b_j^2 W_j - phi_j) over max(1, |phi_j|_F, |b_j^2 W_j|_F),
@@ -304,16 +304,16 @@ def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
     skew, of the largest in modulus of H = (phi_raw,j - phi_raw,j^H) / 2i
     (Im x^H phi_raw,j x = x^H H x); one eigh.
     """
-    diffs = []
+    diffs, forms = [], [s.swapaxes(0, 1) for s in stacks]
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (_, gamma, weight, phi) in zip(groups, stacks):
+        for idx, (_, gamma, weight, phi) in zip(groups, forms):
             a2, b2 = (sq[list(idx), None, None] for sq in (low_sq, up_sq))
             up = b2 * weight
             diffs.append((np.stack([phi - a2 * gamma, up - phi]), up))
     _finite_fibers(groups, [t.swapaxes(0, 1) for t, _ in diffs],
                    lambda j: f"bound forms at fiber {j}")
     out = np.empty((3, sum(map(len, groups))))
-    for idx, (raw, _, _, phi), (t, up) in zip(groups, stacks, diffs):
+    for idx, (raw, _, _, phi), (t, up) in zip(groups, forms, diffs):
         scale = np.maximum(1.0, np.maximum(_norms(phi), _norms(up)))
         out[:2, list(idx)] = np.linalg.eigvalsh(t)[..., 0] / scale
         out[2, list(idx)] = (_norms(raw - _adjoint(raw))
@@ -322,7 +322,7 @@ def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
         return out
     row, j = np.unravel_index(np.argmax(out * [[-1], [-1], [1]]), out.shape)
     k, i = next((k, idx.index(j)) for k, idx in enumerate(groups) if j in idx)
-    raw = stacks[k][0, i]
+    raw = stacks[k][i, 0]
     lam, u = np.linalg.eigh(diffs[k][0][row, i] if row < 2
                            else (raw - _adjoint(raw)) * -0.5j)
     return out, (int(j), u[:, 0 if row < 2 else np.argmax(np.abs(lam))])

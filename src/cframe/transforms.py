@@ -259,8 +259,8 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     # |K_j|^2 is the largest eigenvalue of the pencil (Gamma_j, W_j).
     forms = new_sys.forms
     k_sq = _valid_pencil_eigvals(forms.groups,
-                                 [s[1] for s in forms.stacks],
-                                 [s[2] for s in forms.stacks])
+                                 [s[:, 1] for s in forms.stacks],
+                                 [s[:, 2] for s in forms.stacks])
     nk = np.sqrt([max(0.0, float(lam[-1])) for lam in k_sq])
 
     nq = op_norm(q)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from cframe import (Algebra, AlgebraElement, alg_abs, alg_is_positive,
                     alg_is_strictly_nonzero, alg_norm, alg_sqrt)
+from cframe.algebra import positive_rows
 from cframe.errors import NotPositive
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -91,6 +94,15 @@ def test_algebra_rejects_bad_parameters():
         Algebra(0)
     with pytest.raises(ValueError):
         Algebra(2, eps_pos=0.0)
+    # NaN failed every positivity test, inf passed every one; a bool d
+    # built an algebra with d=True.
+    for bad in (math.nan, math.inf, -math.inf):
+        for kw in ({"eps_pos": bad}, {"eps_nz": bad}):
+            with pytest.raises(ValueError):
+                Algebra(2, **kw)
+    for d in (True, False):
+        with pytest.raises(ValueError):
+            Algebra(d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,3 +150,52 @@ def test_elementwise_arithmetic():
     np.testing.assert_array_equal((a * b).values, [2 + 2j, -2j])
     np.testing.assert_array_equal((2.0 * a).values, [2 + 2j, 4])
     assert a.allclose(elem([1 + 1j, 2]))
+
+
+def positive_rows_reference(values, eps_pos):
+    """positivity as two comparisons per coordinate."""
+    slack = eps_pos * (1.0 + np.abs(values))
+    return np.all((np.abs(values.imag) <= slack) & (values.real >= -slack),
+                  axis=-1)
+
+
+SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]
+EPS = [1e-10, 1e-6, 0.25]
+
+
+@st.composite
+def near_tolerance(draw, eps):
+    """A coordinate whose -real or |imag| lies within a few ulp of
+    eps (1 + |v|), the other part drawn freely."""
+    other = draw(st.one_of(finite, st.sampled_from(SPECIALS)))
+    t = 0.0
+    for _ in range(60):  # a contraction for eps < 1
+        t = eps * (1.0 + math.hypot(t, other))
+    for _ in range(draw(st.integers(0, 3))):
+        t = math.nextafter(t, draw(st.sampled_from([0.0, math.inf])))
+    if draw(st.booleans()):
+        return complex(-t, other)
+    return complex(other, draw(st.sampled_from([t, -t])))
+
+
+@st.composite
+def positivity_cases(draw):
+    eps = draw(st.sampled_from(EPS))
+    part = st.one_of(finite, st.sampled_from(SPECIALS))
+    coord = st.one_of(st.builds(complex, part, part), near_tolerance(eps))
+    rows, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    vals = draw(st.lists(coord, min_size=rows * d, max_size=rows * d))
+    return np.array(vals, dtype=np.complex128).reshape(rows, d), eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(positivity_cases())
+def test_one_comparison_positivity_equals_the_two_comparisons(case):
+    values, eps = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = positive_rows_reference(values, eps)
+        got = positive_rows(values, eps)
+        assert np.array_equal(got, want)
+        for row, ok in zip(values, want):
+            alg = Algebra(len(row), eps_pos=eps)
+            assert alg_is_positive(alg.element(row)) == ok

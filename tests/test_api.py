@@ -115,3 +115,9 @@ def test_example_members_are_built_from_stacks():
 
 def test_only_the_public_boundary_builds_checked_vectors():
     assert functions_calling("ModuleVector") == VECTOR_BUILDERS
+
+
+def test_check_at_builds_no_checked_element():
+    """check_at's slacks are computed here, so its report is built by
+    algebra._of_values, not by the checking constructor."""
+    assert "frames.check_at" not in functions_calling("AlgebraElement")

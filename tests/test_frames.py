@@ -1,6 +1,7 @@
 from dataclasses import replace
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from cframe.errors import (BadParameters, NotCommuting, NotFinite, NotGLPlus,
 import cframe.frames
 import cframe.spectral
 from cframe.frames import (_COMMUTE_RTOL, _SKEW_RTOL, CheckReport,
-                           _operator_spectrum, _require_algebra)
+                           _build_forms, _operator_spectrum, _require_algebra,
+                           _require_finite_forms)
 from cframe.operators import _adjoint_grams
-from cframe.spectral import (_fiber_views, _finite, hermitian_part,
+from cframe.spectral import (_adjoint, _fiber_views, _finite, hermitian_part,
                              pencil_eigh, restricted_pencil_min)
 from cframe.transforms import compose_with_q, invertible_q_bounds
 from cframe.testing import (diagonal_glplus, diagonal_operator, random_hpd,
@@ -1357,10 +1359,12 @@ def check_at_stacked_reference(sys, cert, x):
     _require_algebra(sys, cert.lower, cert.upper)
     forms = sys.forms
     chunks = []
-    for idx, stack in zip(forms.groups, forms.stacks):
+    for idx in forms.groups:
         p = np.array([x.parts[j] for j in idx])
+        stack = np.array([[views[j] for j in idx] for views in (
+            forms.phi_raw, forms.gamma, forms.weight)])
         # x^H (M x) for M = phi_raw, gamma, weight of every fiber at once.
-        mp = stack[:3] @ p[..., None]
+        mp = stack @ p[..., None]
         chunks.append((p.conj()[:, None, :] @ mp)[..., 0, 0])
     # The chunks hold the fibers in group order; one store puts them back.
     vals = np.empty((3, len(x.parts)), dtype=np.complex128)
@@ -1625,3 +1629,133 @@ def test_sample_draw_above_the_limit_is_refused(monkeypatch):
         certify(sysr, samples=3)
     with pytest.raises(BadParameters):
         verify_bounds(sysr, cert.lower, cert.upper, samples=3)
+
+
+# -- real families, the unchecked report, the mixing root -----------------
+
+def complex_route_stacks(sysm):
+    """The form stacks with every member taking the complex route,
+    acc += M^H W M: the reference for the real route, byte for byte."""
+    space = sysm.space
+    accs = [np.zeros_like(w[0]) for w in space.stacks]
+    stacks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in sysm.family:
+            for acc, m, w in zip(accs, t.stacks, space.stacks):
+                acc += _adjoint(m) @ w[0] @ m
+        for acc, w, c, cp, gamma in zip(
+                accs, space.stacks, sysm.control.stacks,
+                sysm.control_prime.stacks, _adjoint_grams(sysm.comparison)):
+            raw = _adjoint(cp) @ acc @ c
+            stacks.append(np.stack([raw, gamma, w[0], hermitian_part(raw)],
+                                   axis=1))
+    return stacks
+
+
+def real_member(rng, space, scale=1.0):
+    return ModuleOperator(space, space, tuple(
+        scale * rng.standard_normal((n, n)) for n in space.dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+       weights=st.sampled_from(["identity", "random"]),
+       controls=st.sampled_from(CONTROL_KINDS),
+       members=st.integers(1, 4),
+       complex_fiber=st.one_of(st.none(), st.integers(0, 5)))
+def test_real_families_take_the_real_route_bit_for_bit(
+        seed, dims, weights, controls, members, complex_fiber):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, Algebra(len(dims)), dims, weights=weights)
+    fam = [real_member(rng, space) for _ in range(members)]
+    if complex_fiber is not None:
+        # One complex member block: its group takes the complex route
+        # for that member, every other group the real one.
+        j = complex_fiber % len(dims)
+        blocks = list(fam[0].blocks)
+        blocks[j] = blocks[j] + 1j * rng.standard_normal(blocks[j].shape)
+        fam[0] = ModuleOperator(space, space, tuple(blocks))
+    c, cp = (positive_control(rng, space, controls) for _ in range(2))
+    sysm = frame_system(space, fam, control=c, control_prime=cp,
+                        comparison=random_operator(rng, space))
+    for got, want in zip(sysm.forms.stacks, complex_route_stacks(sysm)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_real_member_overflow_names_the_fiber_the_complex_route_names():
+    # Dims [2, 1, 2, 1] with HPD weights; member block 2 of 1e200 makes
+    # M^H W M overflow there.  The forms alone, as the flags would refuse
+    # the member first.
+    rng = np.random.default_rng(54)
+    space = random_space(rng, Algebra(4), [2, 1, 2, 1], weights="random")
+    t = real_member(rng, space)
+    blocks = list(t.blocks)
+    blocks[2] = np.diag([1e200, 1.0])
+    ident = identity(space)
+    parts = SimpleNamespace(
+        space=space, control=ident, control_prime=ident, comparison=ident,
+        family=(t, ModuleOperator(space, space, tuple(blocks))))
+    with pytest.raises(NotFinite) as ref:
+        _require_finite_forms(space.groups, complex_route_stacks(parts))
+    with pytest.raises(NotFinite) as err:
+        _build_forms(parts)
+    assert str(err.value) == str(ref.value)
+    assert str(err.value) == "frame form Phi at fiber 2 is not finite"
+
+
+def test_check_at_builds_its_report_without_the_element_check(monkeypatch):
+    sysm = mixed_system(51, "hpd")
+    cert = certify(sysm, samples=0)
+    x = random_vector(np.random.default_rng(52), sysm.space)
+    want = check_at(sysm, cert, x)
+
+    def refuse(self):
+        raise AssertionError("check_at built a checked element")
+
+    monkeypatch.setattr(AlgebraElement, "__post_init__", refuse)
+    got = check_at(sysm, cert, x)
+    assert (got.lower_ok, got.upper_ok) == (want.lower_ok, want.upper_ok)
+    for a, b in ((got.slack_lower, want.slack_lower),
+                 (got.slack_upper, want.slack_upper)):
+        assert a.algebra is sysm.space.algebra
+        assert a.values.tobytes() == b.values.tobytes()
+        assert not a.values.flags.writeable
+    low, up = got.slack_lower.values, got.slack_upper.values
+    assert low.base is up.base
+    assert low.base.shape == (2, len(sysm.space.dims))
+
+
+def test_analysis_and_synthesis_build_the_mixing_root_once(monkeypatch):
+    def draw():
+        rng = np.random.default_rng(55)
+        sysr = random_system(rng, d=3, dims=[2, 2, 3], ops=3)
+        return sysr, random_vector(rng, sysr.space)
+
+    sysr, x = draw()
+    coeffs = analysis(sysr, x)
+    want = [[c.flat.tobytes() for c in coeffs],
+            synthesis(sysr, coeffs).flat.tobytes()]
+    calls = []
+    real_sqrt = cframe.frames.op_sqrt
+    monkeypatch.setattr(cframe.frames, "op_sqrt",
+                        lambda t: calls.append(1) or real_sqrt(t))
+    sysr, x = draw()
+    for _ in range(2):
+        coeffs = analysis(sysr, x)
+        got = [[c.flat.tobytes() for c in coeffs],
+               synthesis(sysr, coeffs).flat.tobytes()]
+        assert got == want
+    assert len(calls) == 1
+    # Not commuting: the same error on every call, and nothing cached.
+    c1, c2 = (ModuleOperator(sysr.space, sysr.space, tuple(
+        random_hpd(np.random.default_rng(56 + i), n) for n in sysr.space.dims))
+        for i in range(2))
+    sysnc = with_controls(sysr, c1, c2)
+    assert not sysnc.flags.controls_commute
+    for _ in range(2):
+        with pytest.raises(NotCommuting):
+            analysis(sysnc, x)
+        with pytest.raises(NotCommuting):
+            synthesis(sysnc, coeffs)
+    assert len(calls) == 1
