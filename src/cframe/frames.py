@@ -38,16 +38,16 @@ the operators' group stacks.  The family is taken in batches of
 members, at most _FLAG_BATCH_ENTRIES block entries each: per group, one
 broadcast product forms W^-1 M^H W M for every member of the batch,
 and each control's commutators with all of them take one stacked
-matmul pair.  A member whose commutator is exactly zero in a group
-adds nothing there without an SVD.  The nonzero numerators of a batch
-take one stacked SVD of W^(1/2) D W^(-1/2) per group, the one op_norm
-takes, and only their operand norms are then taken, each at most once,
-the T_i^* T_i norms in one more stacked SVD.  commutation_residual runs
-the same residual on one pair, for the transform preconditions.  A
-product that overflows raises NotFinite naming the operator, so no SVD
-sees a non-finite stack; a batch that meets one is run again one
-member at a time, so the error names the member and check that the
-members taken in order meet first.
+matmul pair.  A residual's norms come from the finite-checked products
+W^(1/2) D W^(-1/2) that op_norm forms, an operand's only for a nonzero
+numerator, at most once.  The flags take no SVD: Frobenius brackets of
+those products (operators._largest_svs) that clear _COMMUTE_RTOL by
+_BRACKET_SLACK decide them, and if one decides nothing, the exact pass,
+the largest singular values of the same products, does.  worst_residual
+is the exact pass's figure, taken on its first read, as
+commutation_residual takes it for one pair.  A product that overflows
+raises NotFinite naming the operator; a batch that meets one is run
+again member by member, so the error names what that order meets first.
 
 Real-scalar controls (c_j I with c_j real in every fiber, the identity
 among them) commute with each other, with K and with every T_i^* T_i
@@ -62,8 +62,9 @@ Such a control that passes _scalar_glplus is GL+ without op_classify.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -74,8 +75,9 @@ from .errors import (BadParameters, LengthMismatch, NotCommuting, NotFinite,
 from .module_space import (ModuleSpace, ModuleVector, _form_values,
                            _of_flat, module_norm)
 from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
-                        _apply, _largest_svs, identity, op_adjoint,
-                        op_classify, op_compose, op_sqrt, zero_operator)
+                        _apply, _largest_svs, _of_stacks, identity,
+                        op_adjoint, op_classify, op_compose, op_sqrt,
+                        zero_operator)
 from .spectral import (_adjoint, _fiber_views, _finite_fibers,
                        _frobenius, _norms, _restricted_mins,
                        _valid_pencil_eigvals, hermitian_part,
@@ -99,19 +101,40 @@ _SCREEN_LIMIT = 1e300
 # The block entries of the family members whose T^* T the commutation
 # flags form at once: 2 MB per complex stack of a batch.
 _FLAG_BATCH_ENTRIES = 1 << 17
+# How far a Frobenius bracket must clear _COMMUTE_RTOL to decide,
+# far above the O(n u) rounding of its norms; the verdicts, ordered so
+# that the largest over a flag's pairs is the flag's.
+_BRACKET_SLACK = 1e-6
+_HOLDS, _UNDECIDED, _FAILS = 0.0, 1.0, 2.0
 
 
 @dataclass(frozen=True)
 class CommutationFlags:
-    """Checked, not assumed: each flag records a passed residual test."""
+    """Checked, not assumed: each flag records a passed residual test.
+    worst_residual calls residuals, the exact pass over the system's
+    operands (not the system), once, on its first read."""
 
     controls_commute: bool
     controls_with_family: bool
     controls_with_k: bool
-    worst_residual: float
+    residuals: Callable[[], tuple[float, ...]] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def worst_residual(self) -> float:
+        return max(self.residuals())
 
 
-def _residuals(space: ModuleSpace, x, ys, norms: dict) -> list[float]:
+def _verdict(lo: float, hi: float) -> float:
+    """_HOLDS, _FAILS or _UNDECIDED (also for a NaN): what lo <= r <= hi
+    decides about r <= _COMMUTE_RTOL, by a margin of _BRACKET_SLACK."""
+    edge = 1.0 + _BRACKET_SLACK
+    return (_HOLDS if hi * edge <= _COMMUTE_RTOL else
+            _FAILS if lo > _COMMUTE_RTOL * edge else _UNDECIDED)
+
+
+def _residuals(space: ModuleSpace, x, ys, norms: dict,
+               exact: bool = True) -> list[float]:
     """|x y - y x| / (|x| |y|) for each member y of a batch, the
     endomorphisms of space x = (name, group stacks) and ys = (names,
     group stacks of shape (B, g, n, n)), the commutators taken first.
@@ -119,37 +142,45 @@ def _residuals(space: ModuleSpace, x, ys, norms: dict) -> list[float]:
     A member whose commutator is exactly zero gets 0 without an SVD.
     The operand norms are taken only for a nonzero numerator, each once
     per norms, a cache keyed by name, and NotFinite names the operand,
-    or the commutator of the lowest faulty member.
+    or the commutator of the lowest faulty member.  With exact unset,
+    every norm is _largest_svs's bracket, and each member gets the
+    _verdict of its residual's bracket instead of the residual.
     """
     (xname, xs), (names, ys) = x, ys
     what = lambda b, *_: f"commutator of {xname} and {names[b]}"
     diffs = [a @ b - b @ a for a, b in zip(xs, ys)]
     _finite_fibers([range(len(names))] * len(diffs), diffs, what)
-    nums = _largest_svs(space, space, space.groups, diffs, what)
-    live = [b for b, num in enumerate(nums) if num != 0.0]
+    nums = _largest_svs(space, space, space.groups, diffs, what, exact)
+    live = [b for b, (_, num) in enumerate(nums) if num != 0.0]
     if live and xname not in norms:
         norms[xname] = _largest_svs(space, space, space.groups,
                                     [a[None] for a in xs],
-                                    lambda b, j: xname)[0]
+                                    lambda b, j: xname, exact)[0]
     todo = [b for b in live if names[b] not in norms]
     if todo:
         sizes = _largest_svs(space, space, space.groups,
                              [y[todo] for y in ys],
-                             lambda i, j: names[todo[i]])
+                             lambda i, j: names[todo[i]], exact)
         norms.update(zip((names[b] for b in todo), sizes))
     out = [0.0] * len(names)
     for b in live:
-        out[b] = nums[b] / max(norms[xname] * norms[names[b]], 1e-300)
+        (n_lo, n_hi), (x_lo, x_hi), (y_lo, y_hi) = (
+            nums[b], norms[xname], norms[names[b]])
+        hi = n_hi / max(x_lo * y_lo, 1e-300)
+        out[b] = hi if exact else _verdict(n_lo / max(x_hi * y_hi, 1e-300),
+                                           hi)
     return out
 
 
-def _residual(space: ModuleSpace, x, y, norms: dict) -> float:
+def _residual(space: ModuleSpace, x, y, norms: dict,
+              exact: bool = True) -> float:
     """_residuals for the one endomorphism y = (name, group stacks)."""
     return _residuals(space, x, ((y[0],), [s[None] for s in y[1]]),
-                      norms)[0]
+                      norms, exact)[0]
 
 
-def _family_residual(space: ModuleSpace, controls, family, norms) -> float:
+def _family_residual(space: ModuleSpace, controls, family, norms,
+                     exact: bool = True) -> float:
     """The largest _residuals of each control with every T_i^* T_i.
 
     The members are taken in batches of at most _FLAG_BATCH_ENTRIES
@@ -164,17 +195,17 @@ def _family_residual(space: ModuleSpace, controls, family, norms) -> float:
         batch = range(start, min(start + step, len(family)))
         try:
             worst = max(worst, _member_residual(space, controls, family,
-                                                batch, norms))
+                                                batch, norms, exact))
         except NotFinite:
             for i in batch:
                 _member_residual(space, controls, family, range(i, i + 1),
-                                 norms)
+                                 norms, exact)
             raise
     return worst
 
 
 def _member_residual(space: ModuleSpace, controls, family, batch,
-                     norms) -> float:
+                     norms, exact: bool = True) -> float:
     """The largest _residuals of each control with T_i^* T_i for the
     members i of batch: T^* T = W^-1 M^H W M of every member at once,
     one stacked product per group, checked finite, then each control's
@@ -186,8 +217,21 @@ def _member_residual(space: ModuleSpace, controls, family, batch,
         grams.append(w[1] @ _adjoint(m) @ w[0] @ m)
     _finite_fibers([range(len(batch))] * len(grams), grams,
                    lambda b: names[b])
-    return max(max(_residuals(space, x, (names, grams), norms))
+    return max(max(_residuals(space, x, (names, grams), norms, exact))
                for x in controls)
+
+
+def _flag_residuals(space: ModuleSpace, c, cp, k, family,
+                    exact: bool = True) -> tuple[float, float, float]:
+    """The largest _residuals (_verdicts with exact unset) of C with C',
+    of C and C' with every T_i^* T_i, and of C and C' with K."""
+    norms: dict = {}
+    # Overflow is caught by the finite checks, which raise NotFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_residual(space, c, cp, norms, exact),
+                _family_residual(space, (c, cp), family, norms, exact),
+                max(_residual(space, c, k, norms, exact),
+                    _residual(space, cp, k, norms, exact)))
 
 
 def commutation_residual(x: ModuleOperator, y: ModuleOperator) -> float:
@@ -301,24 +345,18 @@ class ControlledFrameSystem:
                             and _family_commutes_exactly(self, scale))
             if family_exact and _comparison_commutes_exactly(
                     self.comparison, scale):
-                return CommutationFlags(True, True, True, 0.0)
-        space, norms = self.space, {}
-        c = ("control", self.control.stacks)
-        cp = ("control_prime", self.control_prime.stacks)
-        k = ("comparison", self.comparison.stacks)
-        # Overflow is caught by the finite checks, which raise NotFinite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            worst = _residual(space, c, cp, norms)
-            fam = (0.0 if family_exact
-                   else _family_residual(space, (c, cp), self.family, norms))
-            kk = max(_residual(space, c, k, norms),
-                     _residual(space, cp, k, norms))
-        return CommutationFlags(
-            controls_commute=worst <= _COMMUTE_RTOL,
-            controls_with_family=fam <= _COMMUTE_RTOL,
-            controls_with_k=kk <= _COMMUTE_RTOL,
-            worst_residual=max(worst, fam, kk),
-        )
+                return CommutationFlags(True, True, True, lambda: (0.0,))
+        operands = (self.space, ("control", self.control.stacks),
+                    ("control_prime", self.control_prime.stacks),
+                    ("comparison", self.comparison.stacks),
+                    () if family_exact else self.family)
+        verdicts = _flag_residuals(*operands, exact=False)
+        if _UNDECIDED not in verdicts:
+            return CommutationFlags(*(v == _HOLDS for v in verdicts),
+                                    partial(_flag_residuals, *operands))
+        res = _flag_residuals(*operands)
+        return CommutationFlags(*(r <= _COMMUTE_RTOL for r in res),
+                                lambda: res)
 
     @cached_property
     def forms(self) -> FiberForms:
@@ -493,18 +531,23 @@ def analysis(sys: ControlledFrameSystem, x: ModuleVector) -> list[ModuleVector]:
 
 
 def synthesis(sys: ControlledFrameSystem, seq) -> ModuleVector:
-    """Adjoint of analysis: sum_i (C C')^(1/2) T_i* a_i."""
+    """Adjoint of analysis: sum_i (C C')^(1/2) T_i* a_i, in member
+    order; every member's T_i* is one stacked product per group."""
     seq = list(seq)
     if len(seq) != len(sys.family):
         raise LengthMismatch(
             f"expected {len(sys.family)} coefficients, got {len(seq)}"
         )
-    r = sys.mixing_root
-    out = sys.space.zero_vector()
-    for t, a in zip(sys.family, seq):
-        if a.space != sys.space:
+    r, space, out = sys.mixing_root, sys.space, sys.space.zero_vector()
+    if not seq:
+        return out
+    adjoints = [w[1] @ _adjoint(np.stack([t.stacks[k] for t in sys.family]))
+                @ w[0] for k, w in enumerate(space.stacks)]
+    for i, a in enumerate(seq):
+        if a.space != space:
             raise SpaceMismatch("coefficient vector in the wrong space")
-        out = out + r(op_adjoint(t)(a))
+        t = _of_stacks(space, space, [s[i] for s in adjoints])
+        out = out + r(_apply(t, a, np.matmul))
     return out
 
 

@@ -24,6 +24,9 @@ from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
                        _frobenius, _valid_pencil_eigvals, hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
+# Below this a Frobenius norm's square is below 1e-300, where its
+# entries' squares may have underflowed: _largest_svs does not trust it.
+_FROBENIUS_FLOOR = 1e-150
 
 
 def _block_groups(domain: ModuleSpace, codomain: ModuleSpace):
@@ -180,12 +183,18 @@ def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
 
 
 def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
-                 what) -> list[float]:
+                 what, exact: bool = True) -> list[tuple[float, float]]:
     """Per member b of a batch of maps from domain to codomain, given as
     stacks[k] of shape (B, g, m, n), the blocks of every member at the
-    fibers groups[k]: the largest singular value of V^(1/2) M W^(-1/2)
+    fibers groups[k]: the largest singular value s of V^(1/2) M W^(-1/2)
     over the member's blocks M, with W of the domain and V of the
-    codomain.
+    codomain, as the pair (s, s).
+
+    With exact unset, no SVD: the pair is the bracket (max_j F_j /
+    sqrt(min(m, n)), max_j F_j) around s, F_j the Frobenius norm of the
+    product at fiber j (Golub and Van Loan 2.3); its upper end is inf
+    if an F_j overflows or is below _FROBENIUS_FLOOR for a nonzero
+    product, and its lower end is then taken over the other fibers.
 
     A member whose stack of a group is exactly zero adds 0 there without
     a product or an SVD.  Raises NotFinite naming what(b, j) for the
@@ -205,12 +214,20 @@ def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
            for i, f in zip(*np.nonzero(~np.isfinite(p).all(axis=(-2, -1))))]
     if bad:
         raise NotFinite(f"{what(*min(bad))} is not finite")
-    worst = np.zeros(len(stacks[0]))
+    lo, hi = np.zeros((2, len(stacks[0])))
     for live, p in zip(lives, prods):
         if len(live):
-            sv = np.linalg.svd(p, compute_uv=False).max(axis=(1, 2))
-            worst[live] = np.maximum(worst[live], sv)
-    return worst.tolist()
+            if exact:
+                top = least = np.linalg.svd(p, compute_uv=False).max(-1)
+            else:
+                f = _frobenius(p)  # callers ignore overflow: inf is blind
+                blind = np.isinf(f) | ((f < _FROBENIUS_FLOOR)
+                                       & p.any(axis=(-2, -1)))
+                top = np.where(blind, np.inf, f)
+                least = np.where(blind, 0.0, f) / np.sqrt(min(p.shape[-2:]))
+            hi[live] = np.maximum(hi[live], top.max(axis=1))
+            lo[live] = np.maximum(lo[live], least.max(axis=1))
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def op_norm(t: ModuleOperator) -> float:
@@ -221,7 +238,7 @@ def op_norm(t: ModuleOperator) -> float:
     """
     return _largest_svs(t.domain, t.codomain, t.groups,
                         [s[None] for s in t.stacks],
-                        lambda b, j: f"fiber {j} of an operator")[0]
+                        lambda b, j: f"fiber {j} of an operator")[0][1]
 
 
 def op_classify(t: ModuleOperator) -> OperatorFlags:

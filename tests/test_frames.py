@@ -1,7 +1,10 @@
 from dataclasses import replace
+import gc
 import math
 import os
+import sys
 from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +180,30 @@ def test_length_mismatch_in_synthesis():
     sys1 = parseval_system()
     with pytest.raises(LengthMismatch):
         synthesis(sys1, [])
+
+
+def synthesis_member_by_member(sysr, seq):
+    """sum_i (C C')^(1/2) T_i* a_i with one op_adjoint per member, added
+    in member order: the reference for the stacked synthesis."""
+    out = sysr.space.zero_vector()
+    for t, a in zip(sysr.family, seq):
+        out = out + sysr.mixing_root(op_adjoint(t)(a))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_synthesis_stacks_the_adjoints_bit_for_bit(monkeypatch, seed):
+    rng = np.random.default_rng(600 + seed)
+    dims = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 6)))]
+    sysr = random_system(rng, d=len(dims), dims=dims,
+                         ops=int(rng.integers(1, 9)),
+                         weights=["identity", "random"][seed % 2],
+                         controls=["diagonal", "scalar"][seed % 2],
+                         family=["unitary_diag", "generic"][seed % 2])
+    seq = [random_vector(rng, sysr.space) for _ in sysr.family]
+    want = synthesis_member_by_member(sysr, seq).flat.tobytes()
+    monkeypatch.setattr(cframe.frames, "op_adjoint", None)
+    assert synthesis(sysr, seq).flat.tobytes() == want
 
 
 # -- optimal bounds -------------------------------------------------------
@@ -822,14 +849,28 @@ def test_commutation_residual_overflow_is_not_finite():
         commutation_residual(big, other)
 
 
+class Calls(list):
+    """Recorded calls; passes[i] names the pass of call i, "bracket" or
+    "exact"."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = []
+
+    def record(self, entry, exact):
+        self.append(entry)
+        self.passes.append("exact" if exact else "bracket")
+
+
 def count_gram_operands(monkeypatch):
     """Count the members whose T^* T stacks the flags build."""
-    calls = []
+    calls = Calls()
     real = cframe.frames._member_residual
 
-    def counting(space, controls, family, batch, norms):
-        calls.extend(f"family[{i}]" for i in batch)
-        return real(space, controls, family, batch, norms)
+    def counting(space, controls, family, batch, norms, exact=True):
+        for i in batch:
+            calls.record(f"family[{i}]", exact)
+        return real(space, controls, family, batch, norms, exact)
 
     monkeypatch.setattr(cframe.frames, "_member_residual", counting)
     return calls
@@ -837,12 +878,12 @@ def count_gram_operands(monkeypatch):
 
 def count_residuals(monkeypatch):
     """Count the residuals the flags run, by operand pair."""
-    calls = []
+    calls = Calls()
     real = cframe.frames._residual
 
-    def counting(space, x, y, norms):
-        calls.append((x[0], y[0]))
-        return real(space, x, y, norms)
+    def counting(space, x, y, norms, exact=True):
+        calls.record((x[0], y[0]), exact)
+        return real(space, x, y, norms, exact)
 
     monkeypatch.setattr(cframe.frames, "_residual", counting)
     return calls
@@ -1001,12 +1042,13 @@ def test_flags_of_a_family_beyond_one_batch_are_taken_in_batches(
         monkeypatch):
     rng = np.random.default_rng(73)
     sysr = random_system(rng, d=3, dims=[2, 1, 2], ops=7)
-    calls = []
+    calls = Calls()
     real = cframe.frames._member_residual
     monkeypatch.setattr(
         cframe.frames, "_member_residual",
-        lambda space, controls, family, batch, norms: calls.append(
-            list(batch)) or real(space, controls, family, batch, norms))
+        lambda space, controls, family, batch, norms, exact=True:
+        calls.record(list(batch), exact)
+        or real(space, controls, family, batch, norms, exact))
     monkeypatch.setattr(cframe.frames, "_FLAG_BATCH_ENTRIES",
                         3 * member_entries(sysr.space))
     flagged = with_family(sysr, sysr.family)
@@ -1055,6 +1097,212 @@ def test_overflow_in_a_batch_names_the_member_one_by_one_names(
         frame_system(space, fam, control=c)
     assert str(err.value) == message
     assert seen == calls
+
+
+# -- flag verdicts near the threshold ---------------------------------------
+
+def near_commuting_system(rng, dims, weights, kind, pair, eps):
+    """A GL+ control C = W^-1 P (P diagonal or HPD) and one operand that
+    misses commuting with it by a term of size eps: C' = W^-1 (P + eps H)
+    for pair "controls", the member I + eps E for "family", or
+    K = C + eps E for "comparison", H Hermitian and E generic.  Every
+    other pair commutes."""
+    space = random_space(rng, Algebra(len(dims)), dims, weights=weights)
+    p = [np.diag(rng.uniform(0.5, 2.0, size=n)) + 0j if kind == "diagonal"
+         else random_hpd(rng, n) for n in dims]
+    e = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+         / np.sqrt(2.0) for n in dims]
+    w_inv = [weight_inv(space, j) for j in range(len(dims))]
+    c = ModuleOperator(space, space, tuple(a @ b for a, b in zip(w_inv, p)))
+    if pair == "controls":
+        cp = ModuleOperator(space, space, tuple(
+            a @ (b + eps * hermitian_part(m)) for a, b, m in zip(w_inv, p, e)))
+        return frame_system(space, [identity(space)], control=c,
+                            control_prime=cp)
+    bent = ModuleOperator(space, space, tuple(
+        (np.eye(n) if pair == "family" else b) + eps * m
+        for n, b, m in zip(dims, c.blocks, e)))
+    if pair == "family":
+        return frame_system(space, [bent], control=c, control_prime=c)
+    return frame_system(space, [identity(space)], control=c,
+                        control_prime=c, comparison=bent)
+
+
+def near_threshold_system(seed, dims, weights, kind, pair, target):
+    """near_commuting_system with eps scaled, by three secant steps on
+    the reference residual, so that the residual lies near target."""
+    eps = 1e-6
+    for _ in range(3):
+        sysr = near_commuting_system(np.random.default_rng(seed), dims,
+                                     weights, kind, pair, eps)
+        got = reference_flags(sysr)[3]
+        if got == 0.0:
+            return sysr
+        eps *= target / got
+    return near_commuting_system(np.random.default_rng(seed), dims, weights,
+                                 kind, pair, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       weights=st.sampled_from(["identity", "random"]),
+       kind=st.sampled_from(["diagonal", "generic"]),
+       pair=st.sampled_from(["controls", "family", "comparison"]),
+       power=st.floats(-1.0, 1.0))
+def test_flags_near_the_threshold_equal_the_spectral_rule(
+        seed, dims, weights, kind, pair, power):
+    sysr = near_threshold_system(seed, dims, weights, kind, pair,
+                                 _COMMUTE_RTOL * 10.0 ** power)
+    want = reference_flags(sysr)
+    if max(dims) > 1:
+        assert _COMMUTE_RTOL / 11 < want[3] < _COMMUTE_RTOL * 11
+    got = flag_tuple(sysr)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
+
+
+def edge_system(pair, eps):
+    """C = diag(1, 2) on one flat fiber of dim 2 and one operand whose
+    commutator with it is exact: C' = [[1, eps], [eps, 2]], the member
+    [[1, eps], [0, 1]] (its T^* T rounds to [[1, eps], [eps, 1]]), or
+    K = [[1, eps], [0, 1]]."""
+    space = make_space(Algebra(1), [2])
+    c = ModuleOperator(space, space, (np.diag([1.0, 2.0]),))
+    bent = ModuleOperator(space, space, (np.array(
+        [[1.0, eps], [eps if pair == "controls" else 0.0,
+                      2.0 if pair == "controls" else 1.0]]),))
+    return frame_system(space, [bent if pair == "family" else identity(space)],
+                        control=c,
+                        control_prime=bent if pair == "controls" else None,
+                        comparison=bent if pair == "comparison" else None)
+
+
+@pytest.mark.parametrize("pair", ["controls", "family", "comparison"])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_flags_at_the_edge_of_the_bracket_slack(monkeypatch, pair, side):
+    # The residual sits at tau (1 +- delta), where no bracket decides;
+    # eps comes from secant steps on the reference residual.
+    target = _COMMUTE_RTOL * (1.0 + side * cframe.frames._BRACKET_SLACK)
+    eps = target
+    for _ in range(4):
+        eps *= target / reference_flags(edge_system(pair, eps))[3]
+    residuals = count_residuals(monkeypatch)
+    sysr = edge_system(pair, eps)
+    assert "exact" in residuals.passes
+    want = reference_flags(sysr)
+    assert abs(want[3] / target - 1.0) < 1e-12
+    assert want[:3].count(False) == (side > 0)
+    got = flag_tuple(sysr)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
+
+
+def test_verdict_at_the_edges_of_the_slack():
+    verdict, tau = cframe.frames._verdict, _COMMUTE_RTOL
+    edge = 1.0 + cframe.frames._BRACKET_SLACK
+    assert verdict(0.0, tau / edge) == cframe.frames._HOLDS
+    assert verdict(0.0, tau) == cframe.frames._UNDECIDED
+    assert verdict(tau * edge, tau * edge) == cframe.frames._UNDECIDED
+    assert verdict(np.nextafter(tau * edge, 1.0), 1.0) == cframe.frames._FAILS
+    assert verdict(np.nan, np.nan) == cframe.frames._UNDECIDED
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160])
+@pytest.mark.parametrize("operand", ["control_prime", "comparison"])
+def test_flags_of_an_underflowing_commutator_take_the_exact_pass(
+        monkeypatch, scale, operand):
+    # Entries of size scale: their squares underflow (1e-340) or are
+    # subnormal (1e-320), so no Frobenius norm of them is trusted.  A
+    # tiny C' - C commutes within tau; a tiny K does not.
+    residuals = count_residuals(monkeypatch)
+    rng = np.random.default_rng(82)
+    space = make_space(Algebra(2), [3, 2])
+    c = diagonal_glplus(rng, space)
+    tiny = [scale * (rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n))) for n in space.dims]
+    if operand == "control_prime":
+        cp = ModuleOperator(space, space, tuple(
+            b + hermitian_part(m) for b, m in zip(c.blocks, tiny)))
+        sysr = frame_system(space, [identity(space)], control=c,
+                            control_prime=cp)
+    else:
+        sysr = frame_system(space, [identity(space)], control=c,
+                            comparison=ModuleOperator(space, space,
+                                                      tuple(tiny)))
+    assert residuals.passes.count("exact") == 3
+    want = reference_flags(sysr)
+    assert want[:3] == ((True, True, True) if operand == "control_prime"
+                        else (True, True, False))
+    got = flag_tuple(sysr)
+    assert got[:3] == want[:3]
+    assert got[3].hex() == want[3].hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dims", [[3], [3, 2, 4]])
+def test_random_hpd_controls_fail_every_flag_by_the_bracket(monkeypatch,
+                                                            seed, dims):
+    residuals = count_residuals(monkeypatch)
+    gram_calls = count_gram_operands(monkeypatch)
+    rng = np.random.default_rng(83 + seed)
+    space = make_space(Algebra(len(dims)), dims)
+    c1, c2 = (ModuleOperator(space, space, tuple(random_hpd(rng, n)
+                                                 for n in dims))
+              for _ in range(2))
+    fam = [random_operator(rng, space) for _ in range(2)]
+    sysr = frame_system(space, fam, control=c1, control_prime=c2,
+                        comparison=random_operator(rng, space))
+    assert set(residuals.passes) == set(gram_calls.passes) == {"bracket"}
+    want = reference_flags(sysr)
+    assert flag_tuple(sysr)[:3] == want[:3] == (False, False, False)
+    with pytest.raises(NotCommuting) as err:
+        analysis(sysr, space.zero_vector())
+    assert err.value.residual.hex() == want[3].hex()
+    assert set(residuals.passes) == {"bracket", "exact"}
+
+
+def many_fibers_shaped_system(seed):
+    """Diagonal controls and comparison, flat weights and a family of 12
+    U diag(s) members on 64 fibers of dims 1 to 16, as certify-many-fibers
+    has them."""
+    return random_system(np.random.default_rng(seed), d=64,
+                         dims=[1 + j % 16 for j in range(64)], ops=12)
+
+
+def test_diagonal_controls_build_and_certify_without_an_svd(monkeypatch):
+    callers = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    sysr = many_fibers_shaped_system(84)
+    certify(sysr)
+    assert set(callers) <= {"op_classify"}
+    assert sysr.flags.controls_with_family
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_a_certified_system_is_freed_without_the_collector(read):
+    sysr = many_fibers_shaped_system(85)
+    certify(sysr)
+    if read:
+        assert sysr.flags.worst_residual < _COMMUTE_RTOL
+    ref = weakref.ref(sysr)
+    flags = sysr.flags
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sysr
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # The flags outlive their system and still read the residual.
+    assert flags.worst_residual < _COMMUTE_RTOL
 
 
 @pytest.mark.parametrize("weights", ["identity", "random"])
