@@ -40,7 +40,8 @@ broadcast product forms W^-1 M^H W M for every member of the batch,
 and each control's commutators with all of them take one stacked
 matmul pair.  A residual's norms come from the finite-checked products
 W^(1/2) D W^(-1/2) that op_norm forms, an operand's only for a nonzero
-numerator, at most once.  The flags take no SVD: Frobenius brackets of
+numerator, at most once; on an unweighted group these are M^H M and D.
+The flags take no SVD: Frobenius brackets of
 those products (operators._largest_svs) that clear _COMMUTE_RTOL by
 _BRACKET_SLACK decide them, and if one decides nothing, the exact pass,
 the largest singular values of the same products, does.  worst_residual
@@ -78,7 +79,7 @@ from .operators import (_SINGULAR_RTOL, ModuleOperator, _adjoint_grams,
                         _apply, _largest_svs, _of_stacks, identity,
                         op_adjoint, op_classify, op_compose, op_sqrt,
                         zero_operator)
-from .spectral import (_adjoint, _fiber_views, _finite_fibers,
+from .spectral import (_adjoint, _chain, _fiber_views, _finite_fibers,
                        _frobenius, _norms, _restricted_mins,
                        _valid_pencil_eigvals, hermitian_part,
                        loewner_margins)
@@ -212,9 +213,9 @@ def _member_residual(space: ModuleSpace, controls, family, batch,
     residuals over the batch."""
     names = [f"family[{i}]^* family[{i}]" for i in batch]
     grams = []
-    for k, w in enumerate(space.stacks):
+    for k, w in enumerate(space.group_stacks(space.groups)):
         m = np.stack([family[i].stacks[k] for i in batch])
-        grams.append(w[1] @ _adjoint(m) @ w[0] @ m)
+        grams.append(_chain(w[1], _adjoint(m), w[0], m))
     _finite_fibers([range(len(batch))] * len(grams), grams,
                    lambda b: names[b])
     return max(max(_residuals(space, x, (names, grams), norms, exact))
@@ -396,6 +397,7 @@ class FiberForms:
         ModuleSpace.groups, whose gathers check_at reads vectors with.
     stacks: per group, one (g, 4, n, n) array that holds, per fiber,
         phi_raw, gamma, weight and phi, in that order.
+    _unweighted: the space's per-group answer; phi_spectrum reads it.
     triples: per group, the (g, 3n, n) view of its stack whose block i
         is fiber i's phi_raw, gamma and weight one above the other;
         check_at evaluates them in one stacked product per group.
@@ -409,6 +411,7 @@ class FiberForms:
 
     groups: tuple[tuple[int, ...], ...]
     stacks: tuple[np.ndarray, ...]
+    _unweighted: tuple[bool, ...] = field(default=(), repr=False)
     phi_raw: tuple[np.ndarray, ...] = field(init=False)
     gamma: tuple[np.ndarray, ...] = field(init=False)
     weight: tuple[np.ndarray, ...] = field(init=False)
@@ -433,9 +436,10 @@ class FiberForms:
         is a hermitian_part and the space has checked W definite, so no
         check of pencil_eigh's runs again.
         """
-        return _valid_pencil_eigvals(self.groups,
-                                     [s[:, 3] for s in self.stacks],
-                                     [s[:, 2] for s in self.stacks])
+        unweighted = self._unweighted or (False,) * len(self.stacks)
+        return _valid_pencil_eigvals(
+            self.groups, [s[:, 3] for s in self.stacks],
+            [None if u else s[:, 2] for u, s in zip(unweighted, self.stacks)])
 
 
 def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
@@ -445,26 +449,29 @@ def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
 
     A member stack with no imaginary part adds M^T W_r M to acc's real
     part and M^T W_i M to its imaginary part, W = W_r + i W_i: two real
-    products instead of one complex one.  The terms this drops have a
-    zero factor and add only a zero, so the sums are the complex ones.
+    products instead of one complex one (one, M^T M, where unweighted).
+    The terms this drops have a zero factor and add only a zero, so the
+    sums are the complex ones.
     """
     space = sys.space
+    factors = space.group_stacks(space.groups)
     accs = [np.zeros_like(w[0]) for w in space.stacks]
-    parts = [(np.ascontiguousarray(w[0].real), np.ascontiguousarray(w[0].imag))
-             for w in space.stacks]
+    parts = [(None, None) if w[0] is None else
+             (np.ascontiguousarray(w[0].real), np.ascontiguousarray(w[0].imag))
+             for w in factors]
     stacks = []
     # Overflow is caught by the finite checks, which raise NotFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in sys.family:
-            for acc, m, w, (wr, wi) in zip(accs, t.stacks, space.stacks,
-                                           parts):
+            for acc, m, w, (wr, wi) in zip(accs, t.stacks, factors, parts):
                 if m.imag.any():
-                    acc += _adjoint(m) @ w[0] @ m
+                    acc += _chain(_adjoint(m), w[0], m)
                     continue
                 m = np.ascontiguousarray(m.real)
                 mt = m.swapaxes(-1, -2)
-                acc.real += mt @ wr @ m
-                acc.imag += mt @ wi @ m
+                acc.real += _chain(mt, wr, m)
+                if wi is not None:
+                    acc.imag += mt @ wi @ m
         for acc, w, c, cp, gamma in zip(
                 accs, space.stacks, sys.control.stacks,
                 sys.control_prime.stacks, _adjoint_grams(sys.comparison)):
@@ -472,7 +479,7 @@ def _build_forms(sys: ControlledFrameSystem) -> FiberForms:
             stacks.append(np.stack([raw, gamma, w[0], hermitian_part(raw)],
                                    axis=1))
     _require_finite_forms(space.groups, stacks)
-    return FiberForms(groups=space.groups, stacks=tuple(stacks))
+    return FiberForms(space.groups, tuple(stacks), space._unweighted)
 
 
 def _require_finite_forms(groups, stacks) -> None:
@@ -831,10 +838,10 @@ class ReconstructionResult:
 
 
 def _operator_spectrum(sys: ControlledFrameSystem, s: ModuleOperator):
-    ws = [w[0] for w in sys.space.stacks]
+    ws = [w[0] for w in sys.space.group_stacks(sys.space.groups)]
     spectra = _valid_pencil_eigvals(
         sys.space.groups,
-        [hermitian_part(w @ b) for w, b in zip(ws, s.stacks)], ws)
+        [hermitian_part(_chain(w, b)) for w, b in zip(ws, s.stacks)], ws)
     return (min(float(lam[0]) for lam in spectra),
             max(float(lam[-1]) for lam in spectra))
 

@@ -10,9 +10,10 @@ which is linear in the first slot and conjugate-linear in the second.
 All positivity and adjoint formulas downstream are stated against these
 weights.  The space groups its fibers by dimension once (`groups`) and
 keeps one read-only (4, g, n, n) stack per group, of W, W^(-1), W^(1/2)
-and W^(-1/2), from one stacked eigh; `weights` are per-fiber views into
-it.  Operators hold their blocks the same way, and every stacked
-computation downstream reads these stacks.
+and W^(-1/2), from one stacked eigh, or I without one for a group whose
+every W is I (unweighted, so products skip its factors: group_stacks);
+`weights` are per-fiber views into it.  Operators hold their blocks the
+same way, and every stacked computation downstream reads these stacks.
 
 A vector keeps its parts end to end in one read-only buffer (`flat`),
 the parts being views into it, in a layout the space owns (`spans`,
@@ -33,6 +34,7 @@ from .spectral import (_adjoint, _as_matrix, _fiber_views, _finite_fibers,
                        _require_definite, _require_hermitian)
 
 _HERM_RTOL = 1e-12
+_UNWEIGHTED = (None,) * 4  # its factors, which spectral._chain skips
 
 
 def _groups(keys) -> tuple[tuple[int, ...], ...]:
@@ -56,28 +58,35 @@ def _gathers(dims, groups) -> tuple[slice | np.ndarray, ...]:
         for idx in groups)
 
 
-def _weight_stacks(dims, weights, groups) -> tuple[np.ndarray, ...]:
+def _weight_stacks(dims, weights, groups):
     """The (4, g, n, n) stacks of the groups' weights, each checked to
     be an n x n matrix, Hermitian within _HERM_RTOL and definite by
-    _require_definite, with one eigh per group.  When a group fails, the
-    weights are checked again fiber by fiber, so the error raised is the
-    first failing check of the lowest faulty fiber."""
-    stacks = []
+    _require_definite, with one eigh per group, and per group whether
+    every W equals I: its stack is then I, the bytes the eigh gives,
+    without one.  When a group fails, the weights are checked again
+    fiber by fiber, so the error raised is the first failing check of
+    the lowest faulty fiber."""
+    stacks, unweighted = [], []
     try:
         for idx in groups:
             raw = np.stack([np.asarray(weights[j], dtype=np.complex128)
                             for j in idx])
             if raw.shape[1:] != (dims[idx[0]],) * 2:
                 raise ValueError("weight shape does not match dim")
-            w = _require_hermitian(raw, "W", _HERM_RTOL)
-            lam, u = _require_definite(w, "W")
-            lam, uh = lam[:, None, :], _adjoint(u)
-            root = np.sqrt(lam)
-            stack = np.stack([w, (u / lam) @ uh, (u * root) @ uh,
-                              (u / root) @ uh])
+            eye = np.eye(dims[idx[0]], dtype=np.complex128)
+            unweighted.append(bool((raw == eye).all()))
+            if unweighted[-1]:
+                stack = np.tile(eye, (4, len(idx), 1, 1))
+            else:
+                w = _require_hermitian(raw, "W", _HERM_RTOL)
+                lam, u = _require_definite(w, "W")
+                lam, uh = lam[:, None, :], _adjoint(u)
+                root = np.sqrt(lam)
+                stack = np.stack([w, (u / lam) @ uh, (u * root) @ uh,
+                                  (u / root) @ uh])
             stack.setflags(write=False)
             stacks.append(stack)
-        return tuple(stacks)
+        return tuple(stacks), tuple(unweighted)
     except (ValueError, NotHermitian, NotDefinite) as exc:
         error = exc
     for j, (n, w) in enumerate(zip(dims, weights)):
@@ -98,6 +107,7 @@ class ModuleSpace:
         work.
     stacks: per group, one read-only (4, g, n, n) array that holds W,
         W^(-1), W^(1/2) and W^(-1/2) of its g fibers, in that order.
+    _unweighted: per group, whether its every W equals I.
     weights: per fiber, W_j as a read-only view into its group's stack.
     spans: per fiber, the slice of ModuleVector.flat that holds its part.
     gathers: per group, where its parts lie in ModuleVector.flat.
@@ -110,6 +120,7 @@ class ModuleSpace:
     weights: tuple[np.ndarray, ...]
     groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _unweighted: tuple[bool, ...] = field(init=False, repr=False)
     spans: tuple[slice, ...] = field(init=False, repr=False)
     gathers: tuple[slice | np.ndarray, ...] = field(init=False, repr=False)
     order: np.ndarray | None = field(init=False, repr=False)
@@ -123,10 +134,11 @@ class ModuleSpace:
         if any(n < 1 for n in dims):
             raise ValueError("fiber dimensions must be positive")
         groups = _groups(dims)
-        stacks = _weight_stacks(dims, self.weights, groups)
+        stacks, unweighted = _weight_stacks(dims, self.weights, groups)
         listed, ends = np.concatenate(groups), np.cumsum(dims).tolist()
         for name, value in (
                 ("dims", dims), ("groups", groups), ("stacks", stacks),
+                ("_unweighted", unweighted),
                 ("weights", _fiber_views(groups, [s[0] for s in stacks])),
                 ("spans", tuple(slice(e - n, e) for n, e in zip(dims, ends))),
                 ("gathers", _gathers(dims, groups)),
@@ -149,15 +161,20 @@ class ModuleSpace:
     def __hash__(self):
         return hash((self.algebra, self.dims))
 
-    def group_stacks(self, groups) -> tuple[np.ndarray, ...]:
-        """The (4, g, n, n) weight stacks of other groups of fibers of
-        equal dimension, such as an operator's block-shape groups: the
-        space's own stacks for its own groups, else gathered from them."""
+    def group_stacks(self, groups) -> tuple:
+        """The weight factors of groups of fibers of equal dimension,
+        such as an operator's block-shape groups: _UNWEIGHTED for a
+        group whose fibers all lie in unweighted groups, else its
+        (4, g, n, n) stack, the space's own or gathered from them."""
         if groups == self.groups:
-            return self.stacks
+            return tuple(_UNWEIGHTED if u else s
+                         for u, s in zip(self._unweighted, self.stacks))
         fibers = _fiber_views(self.groups,
                               [s.swapaxes(0, 1) for s in self.stacks])
-        return tuple(np.stack([fibers[j] for j in idx], axis=1)
+        plain = {j for u, idx in zip(self._unweighted, self.groups) if u
+                 for j in idx}
+        return tuple(_UNWEIGHTED if plain.issuperset(idx)
+                     else np.stack([fibers[j] for j in idx], axis=1)
                      for idx in groups)
 
     def group_gathers(self, groups) -> tuple[slice | np.ndarray, ...]:

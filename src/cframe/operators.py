@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector, _groups, _of_flat
-from .spectral import (_CHECK_RTOL, _adjoint, _fiber_views, _finite_fibers,
-                       _frobenius, _valid_pencil_eigvals, hermitian_part)
+from .spectral import (_CHECK_RTOL, _adjoint, _chain, _fiber_views,
+                       _finite_fibers, _frobenius, _valid_pencil_eigvals,
+                       hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
 # Below this a Frobenius norm's square is below 1e-300, where its
@@ -161,10 +162,12 @@ def scalar_operator(space: ModuleSpace, value: complex | float) -> ModuleOperato
 
 
 def op_adjoint(t: ModuleOperator) -> ModuleOperator:
-    """Adjoint in the weighted inner products: block W^(-1) M^H V."""
+    """Adjoint in the weighted inner products: block W^(-1) M^H V, kept
+    C-contiguous where it is M^H, so products with it sum alike."""
     w, v = t.domain.group_stacks(t.groups), t.codomain.group_stacks(t.groups)
     return _of_stacks(t.codomain, t.domain, [
-        a[1] @ _adjoint(m) @ b[0] for a, m, b in zip(w, t.stacks, v)])
+        np.ascontiguousarray(_chain(a[1], _adjoint(m), b[0]))
+        for a, m, b in zip(w, t.stacks, v)])
 
 
 def op_compose(t: ModuleOperator, u: ModuleOperator) -> ModuleOperator:
@@ -188,7 +191,8 @@ def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
     stacks[k] of shape (B, g, m, n), the blocks of every member at the
     fibers groups[k]: the largest singular value s of V^(1/2) M W^(-1/2)
     over the member's blocks M, with W of the domain and V of the
-    codomain, as the pair (s, s).
+    codomain, as the pair (s, s).  The product is M where both spaces
+    leave the group unweighted (ModuleSpace.group_stacks).
 
     With exact unset, no SVD: the pair is the bracket (max_j F_j /
     sqrt(min(m, n)), max_j F_j) around s, F_j the Frobenius norm of the
@@ -207,8 +211,8 @@ def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
         for a, m, b in zip(w, stacks, v):
             live = np.flatnonzero(m.reshape(len(m), -1).any(axis=1))
             lives.append(live)
-            prods.append(b[2] @ (m if len(live) == len(m) else m[live])
-                         @ a[3])
+            prods.append(_chain(b[2], m if len(live) == len(m)
+                                else m[live], a[3]))
     bad = [(int(live[i]), idx[f])
            for live, idx, p in zip(lives, groups, prods)
            for i, f in zip(*np.nonzero(~np.isfinite(p).all(axis=(-2, -1))))]
@@ -252,7 +256,8 @@ def op_classify(t: ModuleOperator) -> OperatorFlags:
     if t.domain != t.codomain:
         raise SpaceMismatch("classification needs an endomorphism")
     with np.errstate(over="ignore", invalid="ignore"):
-        wms = [w[0] @ m for w, m in zip(t.domain.stacks, t.stacks)]
+        wms = [_chain(w[0], m)
+               for w, m in zip(t.domain.group_stacks(t.groups), t.stacks)]
         norms = [_frobenius(wm) for wm in wms]
     _finite_fibers(t.groups, norms, lambda j: f"fiber {j}: the norm of W M")
     selfadjoint = True
@@ -289,10 +294,10 @@ def op_sqrt(t: ModuleOperator) -> ModuleOperator:
     if not flags.positive:
         raise NotPositive("square root requires a positive operator")
     stacks = []
-    for w, m in zip(t.domain.stacks, t.stacks):
-        lam, u = np.linalg.eigh(hermitian_part(w[2] @ m @ w[3]))
+    for w, m in zip(t.domain.group_stacks(t.groups), t.stacks):
+        lam, u = np.linalg.eigh(hermitian_part(_chain(w[2], m, w[3])))
         root = np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
-        stacks.append(w[3] @ ((u * root) @ _adjoint(u)) @ w[2])
+        stacks.append(_chain(w[3], (u * root) @ _adjoint(u), w[2]))
     return _of_stacks(t.domain, t.domain, stacks)
 
 
@@ -308,7 +313,7 @@ def op_inverse(t: ModuleOperator) -> ModuleOperator:
 def _adjoint_grams(t: ModuleOperator) -> list[np.ndarray]:
     """Per group of t, the stack of the Hermitian part of V M W^(-1) M^H V."""
     w, v = t.domain.group_stacks(t.groups), t.codomain.group_stacks(t.groups)
-    return [hermitian_part(b[0] @ m @ a[1] @ _adjoint(m) @ b[0])
+    return [hermitian_part(_chain(b[0], m, a[1], _adjoint(m), b[0]))
             for a, m, b in zip(w, t.stacks, v)]
 
 
@@ -321,6 +326,6 @@ def adjoint_lower_bound(t: ModuleOperator) -> float:
     """
     if t.domain != t.codomain:
         raise SpaceMismatch("adjoint lower bound needs an endomorphism")
-    spectra = _valid_pencil_eigvals(t.groups, _adjoint_grams(t),
-                                    [w[0] for w in t.domain.stacks])
+    spectra = _valid_pencil_eigvals(t.groups, _adjoint_grams(t), [
+        w[0] for w in t.domain.group_stacks(t.groups)])
     return max(min(float(lam[0]) for lam in spectra), 0.0)

@@ -6,7 +6,8 @@ bound against a possibly singular comparison form uses the restricted
 variant.  Definite pencils are solved with numpy alone by the Cholesky
 reduction G = L L^H: the eigenvalues of (P, G) are those of the
 Hermitian L^-1 P L^-H, and an eigenvector y of it maps back to L^-H y
-(Golub and Van Loan, Matrix Computations, section 8.7).  numpy's
+(Golub and Van Loan, Matrix Computations, section 8.7); for G = I, an
+unweighted group's W, it is the plain eigvalsh of P.  numpy's
 cholesky, solve and eigh broadcast over (m, n, n) stacks, so fibers of
 one dimension share one call.  The public solvers check their
 arguments; internal callers pass stacks valid by construction (a
@@ -14,12 +15,14 @@ hermitian_part, a space's checked W) to one unchecked solver per
 problem, _valid_pencil_eigvals or _restricted_mins.  This module also
 owns the kernel bookkeeping, the exact semantics of the restricted
 infimum, and the helpers every group stack uses: per-fiber views into
-the stacks, and the check that names the lowest non-finite fiber.
+the stacks, products that skip identity weights, and the check that
+names the lowest non-finite fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,6 +35,12 @@ _RANK_RTOL = 1e-12
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(m, -1, -2).conj()
+
+
+def _chain(*factors) -> np.ndarray:
+    """a @ b @ c ... over the factors that are not None (identity
+    weights), associated from the left as Python's @ is."""
+    return reduce(np.matmul, [f for f in factors if f is not None])
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -172,9 +181,11 @@ def _reduced_eigh(p: np.ndarray, g: np.ndarray, vectors: bool = False):
 
 def _valid_pencil_eigvals(groups, ps, gs) -> tuple[np.ndarray, ...]:
     """pencil_eigh(ps[k], gs[k]) for the (m, n, n) stacks of fibers
-    groups[k], unchecked: ps are hermitian_parts, gs a space's checked W.
-    One read-only row of eigenvalues per fiber, in fiber order."""
-    lams = [_reduced_eigh(p, g) for p, g in zip(ps, gs)]
+    groups[k], unchecked: ps are hermitian_parts, gs a space's checked W
+    or None for G = I, which reduces to the checked P.  One read-only
+    row of eigenvalues per fiber, in fiber order."""
+    lams = [np.linalg.eigvalsh(_finite(p, "pencil (P, G)")) if g is None
+            else _reduced_eigh(p, g) for p, g in zip(ps, gs)]
     for lam in lams:
         lam.setflags(write=False)
     return _fiber_views(groups, lams)

@@ -258,9 +258,9 @@ def invertible_q_bounds(sys: ControlledFrameSystem, q: ModuleOperator, *,
     new_cert = _certify(new_sys)
     # |K_j|^2 is the largest eigenvalue of the pencil (Gamma_j, W_j).
     forms = new_sys.forms
-    k_sq = _valid_pencil_eigvals(forms.groups,
-                                 [s[:, 1] for s in forms.stacks],
-                                 [s[:, 2] for s in forms.stacks])
+    k_sq = _valid_pencil_eigvals(
+        forms.groups, [s[:, 1] for s in forms.stacks],
+        [w[0] for w in new_sys.space.group_stacks(forms.groups)])
     nk = np.sqrt([max(0.0, float(lam[-1])) for lam in k_sq])
 
     nq = op_norm(q)

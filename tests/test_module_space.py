@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cframe import (Algebra, AlgebraElement, ModuleVector, alg_is_positive,
                     inner_product, make_space, module_action, module_norm)
 from cframe.errors import NotDefinite, NotHermitian, SpaceMismatch
+from cframe.spectral import _adjoint, hermitian_part
 
 small = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False,
                   allow_infinity=False)
@@ -211,6 +212,47 @@ def test_weight_errors_name_the_lowest_faulty_fiber(fiber_2, fiber_3, error,
     with pytest.raises(error) as exc:
         make_space(Algebra(5), specs)
     assert str(exc.value) == f"fiber 2: {message}"
+
+
+def eigh_route_stack(weights) -> np.ndarray:
+    """The (4, g, n, n) stack of W, W^-1, W^1/2 and W^-1/2 by one eigh,
+    the route a space takes for weights that are not all I."""
+    w = hermitian_part(np.stack(weights).astype(np.complex128))
+    lam, u = np.linalg.eigh(w)
+    lam, uh = lam[:, None, :], _adjoint(u)
+    root = np.sqrt(lam)
+    return np.stack([w, (u / lam) @ uh, (u * root) @ uh, (u / root) @ uh])
+
+
+@pytest.mark.parametrize("specs", [
+    [2, 3, 1, 2, 16],
+    [(2, np.eye(2)), (3, np.eye(3)), (2, np.eye(2, dtype=complex))],
+    [2, (2, np.eye(2)), 5, (5, np.eye(5)), 5],
+])
+def test_identity_weight_stacks_equal_the_eigh_route(specs):
+    space = make_space(Algebra(len(specs)), specs)
+    assert all(space._unweighted)
+    for idx, stack in zip(space.groups, space.stacks, strict=True):
+        want = eigh_route_stack([np.eye(space.dims[j]) for j in idx])
+        assert stack.tobytes() == want.tobytes()
+        assert not stack.flags.writeable
+    for w in space.weights:
+        assert not w.flags.writeable
+
+
+@pytest.mark.parametrize("specs, error, message", [
+    ([2, (2, [[1.0, 1.0], [0.0, 1.0]]), (1, [[-1.0]]), 3], NotHermitian,
+     "fiber 1: weight is not Hermitian"),
+    ([3, (1, [[-1.0]]), 2, (2, [[1.0, 1.0], [0.0, 1.0]])], NotDefinite,
+     "fiber 1: weight is not positive definite"),
+    ([(2, np.eye(2)), 1, (2, [[1.0, 0.0], [0.0, 1e-11]])], NotDefinite,
+     "fiber 2: weight is not positive definite"),
+])
+def test_weight_errors_keep_their_order_beside_identity_weights(
+        specs, error, message):
+    with pytest.raises(error) as exc:
+        make_space(Algebra(len(specs)), specs)
+    assert str(exc.value) == message
 
 
 def test_vector_holds_one_read_only_copy_of_its_input():
