@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cframe.module_space
 import cframe.spectral
 from cframe import (Algebra, certify, description_from_dict, frame_system,
-                    make_space)
+                    make_space, optimal_lower_bound, optimal_upper_bound)
 from cframe.cli import _matrix_json
 from cframe.module_space import _UNWEIGHTED
 from cframe.testing import (generic_family, random_hpd, random_operator,
@@ -91,6 +91,19 @@ def test_unweighted_route_equals_the_weighted_route(seed, dims, controls,
         assert not any(ref.space._unweighted)
         want = figures(ref)
     assert_same_figures(figures(sysm), want)
+
+
+def test_unweighted_bounds_take_no_pencil_reduction(monkeypatch):
+    rng = np.random.default_rng(27)
+    sysr = random_system(rng, d=5, dims=[2, 3, 2, 1, 3], ops=3)
+    calls = count_pencil_reductions(monkeypatch)
+    optimal_upper_bound(sysr)
+    optimal_lower_bound(sysr)
+    certify(sysr)
+    # W = I in every group: the pencils are the plain eigvalsh of Phi
+    assert calls == []
+    for lam in sysr.forms.phi_spectrum:
+        assert not lam.flags.writeable
 
 
 def test_a_group_that_mixes_i_with_a_weight_is_weighted(monkeypatch):
