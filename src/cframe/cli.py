@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .errors import (CFrameError, NotFinite, NotIncluded, ParseError,
-                     ValidationError)
+from .errors import (BadParameters, CFrameError, NotFinite, NotIncluded,
+                     ParseError, ValidationError)
 from .frames import (STATUS_FRAME, ControlledFrameSystem, _operator_spectrum,
                      certify, frame_operator, frame_system, reconstruct,
                      verify_bounds)
@@ -43,6 +43,9 @@ from .transforms import (HomomorphismSpec, compose_with_q, douglas_solve,
                          transport)
 
 USAGE_EXIT = 64
+# The documented limit of --samples times sum(dims); the library draws
+# no samples, and any count > 0 only turns its exact check on.
+_MAX_SAMPLE_ENTRIES = 1 << 25
 
 
 # -- JSON value helpers --------------------------------------------------
@@ -444,9 +447,18 @@ def _certificate_json(cert) -> dict:
 
 # -- subcommand bodies ---------------------------------------------------
 
+def _require_sample_count(space: ModuleSpace, count: int) -> None:
+    """BadParameters unless count samples of space fit the limit."""
+    if count * sum(space.dims) > _MAX_SAMPLE_ENTRIES:
+        raise BadParameters(
+            f"{count} samples of {sum(space.dims)} coordinates exceed the "
+            f"limit of {_MAX_SAMPLE_ENTRIES} sampled values")
+
+
 def _cmd_certify(args) -> int:
     desc = parse_system(args.file)
     sysm = desc.build_system()
+    _require_sample_count(sysm.space, args.samples)
     cert = certify(sysm, samples=args.samples)
     _report("certify", args, desc.algebra, _certificate_json(cert) | {
         "commutation": {
@@ -546,6 +558,7 @@ def _transform(desc: SystemDescription, args) -> tuple[dict, bool]:
     # admits no other kind.
     operand = (_hom_spec(desc) if args.kind == "hom" else
                _task_operator(desc, "u" if args.kind == "range" else "q"))
+    _require_sample_count(sysm.space, args.samples)
     cert = certify(sysm, samples=args.samples)
     if args.kind == "q":
         _, report = compose_with_q(sysm, operand, cert=cert)
@@ -611,6 +624,7 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
 
     space = make_space(Algebra(2), [2, 3])
     ident_sys = frame_system(space, [identity(space)])
+    _require_sample_count(space, samples)
     cert = certify(ident_sys, samples=samples)
     ones = np.ones(2)
     cases.append({
@@ -625,6 +639,8 @@ def _selftest_cases(seed: int, samples: int) -> list[dict]:
     })
 
     sysm = random_system(rng, d=3, dims=[2, 3, 2], ops=3)
+    # verify_bounds below takes this count on this space too.
+    _require_sample_count(sysm.space, samples)
     cert = certify(sysm, samples=samples)
     ver = verify_bounds(sysm, cert.lower, cert.upper, samples=samples,
                         seed=seed + 1)

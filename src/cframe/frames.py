@@ -12,8 +12,10 @@ Hermitian form per character, so the optimal bounds are extremal
 eigenvalues of matrix pencils: the upper bound against the weight, the
 lower bound against the comparison form with its kernel excluded.
 Certificates are recomputed quantities, never trusted inputs; check_at
-re-evaluates the inequality at any vector, and certify's residuals and
-verify_bounds decide it at every vector from spectral.loewner_margins.
+re-evaluates the inequality at any vector, and certify's verdict and
+residuals and verify_bounds decide it at every vector from
+spectral.loewner_margins.  No check draws a vector: a sample count only
+turns the exact check on (> 0) or off (0), and only the CLI limits it.
 
 Spaces and operators hold one read-only stack per group of fibers of
 equal dimension (`ModuleSpace.groups`), and everything here reads those
@@ -93,9 +95,6 @@ _TIGHT_RTOL = 1e-8
 _SKEW_RTOL = 1e-8
 _VERIFY_TOL = 1e-9
 _RECONSTRUCT_RTOL = 1e-9
-# The largest samples x sum(dims) that certify and verify_bounds accept,
-# the documented --samples limit; the exact check draws no samples.
-_MAX_SAMPLE_ENTRIES = 1 << 25
 # Products the commutation screen admits stay below this, far from the
 # float64 overflow at about 1.8e308.
 _SCREEN_LIMIT = 1e300
@@ -662,31 +661,17 @@ def _bound_status(lower_holds: bool, upper: AlgebraElement) -> str:
     return STATUS_FRAME if lower_holds else STATUS_BESSEL
 
 
-def _require_sample_count(space: ModuleSpace, count: int) -> None:
-    if count * sum(space.dims) > _MAX_SAMPLE_ENTRIES:
-        raise BadParameters(
-            f"{count} samples of {sum(space.dims)} coordinates exceed the "
-            f"limit of {_MAX_SAMPLE_ENTRIES} sampled values")
-
-
 def certify(sys: ControlledFrameSystem, *,
             samples: int = 1000) -> FrameCertificate:
     """Compute optimal bounds, overall status, and exact residuals.
 
-    Status is `frame` when both recomputed bounds are strictly nonzero
-    and every fiber admits a positive lower infimum, `bessel_only` when
-    only the upper side survives, `not_frame` otherwise.  Residuals are
-    max(0, the worst negative loewner_margins of their side, the worst
-    skew) at the returned bounds, for any samples > 0; samples=0
-    checks nothing and leaves them 0.0.
+    Status is `frame` when both recomputed bounds are strictly nonzero,
+    every fiber admits a positive lower infimum and both sides' margins
+    (loewner_margins) are >= -_VERIFY_TOL, `bessel_only` when only the
+    upper side survives, `not_frame` otherwise or for a skew beyond
+    _SKEW_RTOL.  Residuals are max(0, the worst negative margin of their
+    side, the worst skew) for samples > 0, and 0.0 for samples=0.
     """
-    _require_sample_count(sys.space, samples)
-    return _certify(sys, samples > 0)
-
-
-def _certify(sys: ControlledFrameSystem,
-             residuals: bool = True) -> FrameCertificate:
-    """certify under no sample count, as the transforms run it."""
     forms = sys.forms
     upper = optimal_upper_bound(sys)
     low = optimal_lower_bound(sys)
@@ -703,10 +688,12 @@ def _certify(sys: ControlledFrameSystem,
     margins = loewner_margins(forms.groups, forms.stacks, a2,
                               np.abs(upper.values) ** 2)
     skew = float(margins[2].max())
-    if skew > _SKEW_RTOL:
+    lower_ok, upper_ok = margins[:2].min(axis=1) >= -_VERIFY_TOL
+    if skew > _SKEW_RTOL or not upper_ok:
         status = STATUS_NOT_FRAME
     else:
-        lower_holds = low.ok and alg_is_strictly_nonzero(low.element)
+        lower_holds = (low.ok and lower_ok
+                       and alg_is_strictly_nonzero(low.element))
         status = _bound_status(lower_holds, upper)
 
     tight = False
@@ -720,11 +707,10 @@ def _certify(sys: ControlledFrameSystem,
         tight = worst <= _TIGHT_RTOL * max(1.0, scale)
 
     lower_res = upper_res = 0.0
-    if residuals:
+    if samples > 0:
         # 0.0 first: max keeps it over a -0.0 margin.
         lower_res = max(0.0, -float(margins[0].min()), skew)
         upper_res = max(0.0, -float(margins[1].min()), skew)
-
     return FrameCertificate(
         lower=low.element,
         upper=upper,
@@ -796,31 +782,30 @@ def verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
     """Exact check that given bound elements satisfy the inequality.
 
     The residual is certify's larger one at these bounds and verifies
-    within _VERIFY_TOL; else the witness is loewner_margins' worst
-    eigenvector in its fiber, zero elsewhere.  samples=0 checks nothing:
-    residual 0.0, no witness.  SpaceMismatch unless both bounds are
-    elements of the system's algebra.
+    within _VERIFY_TOL.  Else the witness lies in the fiber of the worst
+    margin, zero elsewhere: the eigenvector of that side's difference for
+    its lowest eigenvalue or, for the skew, of H = (phi_raw - phi_raw^H)
+    / 2i for the largest in modulus (Im x^H phi_raw x = x^H H x).
+    samples=0 checks nothing: residual 0.0, no witness; seed is unread.
+    SpaceMismatch unless both bounds are elements of the system's algebra.
     """
-    _require_sample_count(sys.space, samples)
-    return _verify_bounds(sys, lower, upper, samples > 0)
-
-
-def _verify_bounds(sys: ControlledFrameSystem, lower: AlgebraElement,
-                   upper: AlgebraElement, check: bool = True) -> VerifyResult:
-    """verify_bounds under no sample count, as the transforms run it."""
     _require_algebra(sys, lower, upper)
-    if not check:
+    if samples <= 0:
         return VerifyResult(verified=True, residual=0.0, witness=None)
     forms = sys.forms
-    args = (forms.groups, forms.stacks, np.abs(lower.values) ** 2,
-            np.abs(upper.values) ** 2)
-    margins = loewner_margins(*args)
+    low_sq, up_sq = np.abs(lower.values) ** 2, np.abs(upper.values) ** 2
+    margins = loewner_margins(forms.groups, forms.stacks, low_sq, up_sq)
     residual = max(0.0, -float(margins[:2].min()), float(margins[2].max()))
     if residual <= _VERIFY_TOL:
         return VerifyResult(verified=True, residual=residual, witness=None)
-    _, (j, x) = loewner_margins(*args, witness=True)
+    row, j = np.unravel_index(np.argmax(margins * [[-1], [-1], [1]]),
+                              margins.shape)
+    raw, phi = forms.phi_raw[j], forms.phi[j]
+    lam, u = np.linalg.eigh(phi - low_sq[j] * forms.gamma[j] if row == 0
+                            else up_sq[j] * forms.weight[j] - phi if row == 1
+                            else (raw - _adjoint(raw)) * -0.5j)
     flat = np.zeros(sum(sys.space.dims), dtype=np.complex128)
-    flat[sys.space.spans[j]] = x
+    flat[sys.space.spans[j]] = u[:, 0 if row < 2 else np.argmax(np.abs(lam))]
     return VerifyResult(verified=False, residual=residual,
                         witness=_of_flat(sys.space, flat))
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NotFinite, NotInvertible, NotPositive, SpaceMismatch
 from .module_space import ModuleSpace, ModuleVector, _groups, _of_flat
 from .spectral import (_CHECK_RTOL, _adjoint, _chain, _fiber_views,
-                       _finite_fibers, _frobenius, _valid_pencil_eigvals,
-                       hermitian_part)
+                       _finite_fibers, _frobenius, _plus_zeros,
+                       _valid_pencil_eigvals, hermitian_part)
 
 _SINGULAR_RTOL = 1e-12
 # Below this a Frobenius norm's square is below 1e-300, where its
@@ -222,7 +222,8 @@ def _largest_svs(domain: ModuleSpace, codomain: ModuleSpace, groups, stacks,
     for live, p in zip(lives, prods):
         if len(live):
             if exact:
-                top = least = np.linalg.svd(p, compute_uv=False).max(-1)
+                top = least = np.linalg.svd(
+                    _plus_zeros(p), compute_uv=False).max(-1)
             else:
                 f = _frobenius(p)  # callers ignore overflow: inf is blind
                 blind = np.isinf(f) | ((f < _FROBENIUS_FLOOR)

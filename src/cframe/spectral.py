@@ -15,8 +15,8 @@ hermitian_part, a space's checked W) to one unchecked solver per
 problem, _valid_pencil_eigvals or _restricted_mins.  This module also
 owns the kernel bookkeeping, the exact semantics of the restricted
 infimum, and the helpers every group stack uses: per-fiber views into
-the stacks, products that skip identity weights, and the check that
-names the lowest non-finite fiber.
+the stacks, products that skip identity weights, the check that names
+the lowest non-finite fiber, and +0.0 zeros for a LAPACK operand.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NotFinite(f"{what} is not finite")
     return arr
+
+
+def _plus_zeros(m: np.ndarray) -> np.ndarray:
+    """m with every -0.0 made +0.0: LAPACK's Householder step takes a
+    zero's sign, so array_equal operands could decompose differently."""
+    return m + 0.0
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
@@ -299,7 +305,7 @@ def _range_mins(s: np.ndarray, lam: np.ndarray) -> list[float]:
     return [max(float(val), 0.0) for val in vals]
 
 
-def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
+def loewner_margins(groups, stacks, low_sq, up_sq) -> np.ndarray:
     """Relative margins of a_j^2 Gamma_j <= Phi_raw,j <= b_j^2 W_j.
 
     stacks holds per fiber group the (g, 4, n, n) forms phi_raw, gamma,
@@ -310,10 +316,6 @@ def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
     The inequality holds at every x exactly when the margins are >= 0
     and the skew is 0 (Loewner order; Horn and Johnson, Matrix Analysis,
     7.7).  NotFinite names the lowest fiber whose scaled forms overflow.
-    With witness set, also (j, x): the worst violation's fiber and an
-    eigenvector there, of the difference's lowest eigenvalue or, for the
-    skew, of the largest in modulus of H = (phi_raw,j - phi_raw,j^H) / 2i
-    (Im x^H phi_raw,j x = x^H H x); one eigh.
     """
     diffs, forms = [], [s.swapaxes(0, 1) for s in stacks]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,14 +331,7 @@ def loewner_margins(groups, stacks, low_sq, up_sq, *, witness=False):
         out[:2, list(idx)] = np.linalg.eigvalsh(t)[..., 0] / scale
         out[2, list(idx)] = (_norms(raw - _adjoint(raw))
                              / np.maximum(1.0, _norms(raw)))
-    if not witness:
-        return out
-    row, j = np.unravel_index(np.argmax(out * [[-1], [-1], [1]]), out.shape)
-    k, i = next((k, idx.index(j)) for k, idx in enumerate(groups) if j in idx)
-    raw = stacks[k][i, 0]
-    lam, u = np.linalg.eigh(diffs[k][0][row, i] if row < 2
-                           else (raw - _adjoint(raw)) * -0.5j)
-    return out, (int(j), u[:, 0 if row < 2 else np.argmax(np.abs(lam))])
+    return out
 
 
 def pinv(m) -> np.ndarray:

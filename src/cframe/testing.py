@@ -1,8 +1,7 @@
 """Seeded generators for random algebras, spaces, operators and systems.
 
-Shared between the test suites, the CLI selftest and the sampled checks
-of the library, so all of them exercise the same distribution of
-instances.  Systems produced here satisfy the
+Shared between the test suites and the CLI selftest, so both exercise
+the same distribution of instances.  Systems produced here satisfy the
 commutation hypotheses by construction: either the controls are fiber
 scalars, or the family members have diagonal Gram blocks so diagonal
 controls slide through them.

@@ -18,8 +18,8 @@ import cframe
 THRESHOLD_NAMES = {"tol", "rtol", "atol", "rank_rtol", "max_iter", "norms"}
 SAMPLING_NAMES = {"samples", "seed"}
 SAMPLING_ALLOWED = {
-    # the benchmark passes them; the exact check reads neither except
-    # samples=0, which skips it, and the sample-count limit
+    # the benchmark passes them; the exact check reads only whether
+    # samples > 0, and limiting the count is the CLI's alone
     "cframe.frames.certify(samples)",
     "cframe.frames.verify_bounds(samples)",
     "cframe.frames.verify_bounds(seed)",
@@ -98,6 +98,22 @@ def functions_calling(name):
 
 def test_only_selftest_draws_random_numbers():
     assert functions_calling("default_rng") == DRAWS_ALLOWED
+
+
+def test_only_the_cli_limits_the_sample_count():
+    assert functions_calling("_require_sample_count") == {
+        "cli._cmd_certify", "cli._transform", "cli._selftest_cases"}
+
+
+def test_each_bound_check_has_one_name():
+    import cframe.frames
+    for name in ("_certify", "_verify_bounds", "_MAX_SAMPLE_ENTRIES"):
+        assert not hasattr(cframe.frames, name), name
+
+
+def test_loewner_margins_take_no_witness():
+    from cframe.spectral import loewner_margins
+    assert "witness" not in inspect.signature(loewner_margins).parameters
 
 
 def test_checks_run_only_at_the_public_solvers():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cframe import (cli, description_from_dict, frames, parse_system, run,
+from cframe import (cli, description_from_dict, parse_system, run,
                     serialize_system)
 from cframe.cli import _parse_matrix
 from cframe.errors import ParseError, ValidationError
@@ -661,7 +661,7 @@ def test_transform_refusal_follows_only_the_given_sample_count(
     # --samples 1000; --samples 0 still runs every check of the transform
     path = write_doc(tmp_path, task_doc())
     want = run_json(capsys, ["transform", kind, path])[1]["result"]
-    monkeypatch.setattr(frames, "_MAX_SAMPLE_ENTRIES", 3)
+    monkeypatch.setattr(cli, "_MAX_SAMPLE_ENTRIES", 3)
     code, out = run_json(capsys, ["transform", kind, path,
                                   "--samples", "1000"])
     assert code == 1

@@ -9,8 +9,8 @@ from cframe import (Algebra, HomomorphismSpec, ModuleOperator, STATUS_FRAME,
                     op_norm, range_inclusion_transfer, transport,
                     upgrade_by_surjectivity, with_comparison, with_family,
                     zero_operator)
-from cframe.errors import (BadParameters, IntertwiningViolated, NotCommuting,
-                           NotFinite, NotGLPlus, NotIncluded, NotInvertible,
+from cframe.errors import (IntertwiningViolated, NotCommuting, NotFinite,
+                           NotGLPlus, NotIncluded, NotInvertible,
                            NotSurjective, PreconditionUnverified,
                            SpaceMismatch, ZeroOperator)
 from cframe.testing import (diagonal_operator, random_hpd, random_operator,
@@ -26,17 +26,15 @@ def one_fiber_op(*blocks):
                                 for b in blocks))
 
 
-def test_transforms_take_no_sample_count(monkeypatch):
-    # with no sampled value allowed, certify and verify_bounds refuse any
-    # count but 0; the transforms pass none and run their exact checks
-    from cframe import frames, scalar_operator
+def test_transforms_take_no_sample_count():
+    # every transform runs its exact checks from a certificate made with
+    # samples=0; no transform takes a count, and only the CLI limits one
+    # (tests/test_api.py)
+    from cframe import scalar_operator
     rng = np.random.default_rng(64)
     sysr = random_system(rng, dims=[2, 3], controls="identity",
                          comparison="identity")
     space = sysr.space
-    monkeypatch.setattr(frames, "_MAX_SAMPLE_ENTRIES", 0)
-    with pytest.raises(BadParameters):
-        certify(sysr, samples=1)
     cert = certify(sysr, samples=0)
     sys_k, rep_k = derive_k_frame(sysr, cert, scalar_operator(space, 2.0))
     reports = [
