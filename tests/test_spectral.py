@@ -8,8 +8,8 @@ import scipy.optimize
 
 from cframe import hermitian_part, pencil_extremes, pinv, restricted_pencil_min
 from cframe.errors import NotDefinite, NotHermitian, NotPSD
-from cframe.spectral import (_norms, _valid_pencil_eigvals, pencil_eigh,
-                             restricted_pencil_mins)
+from cframe.spectral import (_norms, _plus_zeros, _valid_pencil_eigvals,
+                             pencil_eigh, restricted_pencil_mins)
 from cframe.testing import random_hpd
 
 # Frozen outputs of oracle_sup_psd below for the seeded 3x3 case.  The
@@ -420,3 +420,25 @@ def test_norms_survive_overflow_and_keep_zero():
     assert got[1] == 0.0
     assert got[2] == 5.0
     assert _norms(stack[0]) == got[0]
+
+
+def test_zero_signs_do_not_reach_lapack():
+    # e equals d but holds -0.0 where d holds +0.0, and LAPACK's
+    # Householder step reads a zero's sign: through _plus_zeros, svd,
+    # eigh and eigvalsh see one operand
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    np.fill_diagonal(d, 0.0)
+    e = d.copy()
+    e[np.diag_indices(3)] = complex(-0.0, -0.0)
+    h, k = hermitian_part(d), hermitian_part(e)
+    assert np.array_equal(d, e) and np.array_equal(h, k)
+    for m in (e, k):
+        parts = _plus_zeros(m).view(np.float64)
+        assert np.array_equal(parts, m.view(np.float64))
+        assert not np.signbit(parts[parts == 0.0]).any()
+    assert np.array_equal(np.linalg.svd(_plus_zeros(d), compute_uv=False),
+                          np.linalg.svd(_plus_zeros(e), compute_uv=False))
+    for decompose in (np.linalg.eigvalsh, np.linalg.eigh):
+        for a, b in zip(decompose(_plus_zeros(h)), decompose(_plus_zeros(k))):
+            assert np.array_equal(a, b)
